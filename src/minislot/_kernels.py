@@ -1,102 +1,43 @@
-"""Hot RTT-sampling kernel, numba-compiled with a pure-numpy fallback.
+"""Hot RTT-sampling kernel, in numpy.
 
-The kernel maps connected-time send offsets to wall-clock send times,
-lands the acknowledgement ``delay`` later and charges the wait until
-the VSTA's next connected instant.  Set ``MINISLOT_NO_NUMBA=1`` to
-force the numpy path (the numba path is also skipped automatically
-when numba is not importable).  Both paths perform the same arithmetic
-in the same order, so results are bit-identical.
+Sampling is split in two halves.  ``send_times`` maps connected-time
+send offsets to wall-clock send times; it does not depend on the wired
+delay, so a delay sweep runs it once.  ``rtt_samples`` lands each
+acknowledgement ``delay`` after its send and charges the wait until the
+VSTA's next connected instant; it runs once per delay.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 
-def _rtt_samples_loop(starts, ends, cum, offsets, delay, period, out):
-    n_int = starts.shape[0]
-    for k in range(offsets.shape[0]):
-        s = offsets[k]
-        i = 0
-        while i < n_int - 1 and s >= cum[i]:
-            i += 1
-        prev = cum[i - 1] if i > 0 else 0.0
-        t = starts[i] + (s - prev)
-        phase = (t + delay) % period
-        wait = -1.0
-        for j in range(n_int):
-            if starts[j] <= phase:
-                if phase < ends[j]:
-                    wait = 0.0
-                    break
-            else:
-                wait = starts[j] - phase
-                break
-        if wait < 0.0:
-            # past the last interval: wrap to the first one next period
-            wait = (period + starts[0]) - phase
-        out[k] = delay + wait
-    return out
-
-
-def _rtt_samples_numpy(starts, ends, cum, offsets, delay, period):
-    cum0 = np.concatenate(([0.0], cum))
-    idx = np.searchsorted(cum, offsets, side="right")
-    t = starts[idx] + (offsets - cum0[idx])
-    phase = (t + delay) % period
-    j = np.searchsorted(starts, phase, side="right") - 1
-    inside = (j >= 0) & (phase < ends[np.maximum(j, 0)])
-    nxt = j + 1
-    wrap = nxt >= starts.shape[0]
-    next_start = np.where(wrap, period + starts[0], starts[np.minimum(nxt, starts.shape[0] - 1)])
-    wait = np.where(inside, 0.0, next_start - phase)
-    return delay + wait
-
-
-_FORCE_NUMPY = os.environ.get("MINISLOT_NO_NUMBA", "").strip() not in ("", "0", "false")
-
-BACKEND = "numpy"
-_rtt_samples_numba = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-        _rtt_samples_numba = njit(cache=True)(_rtt_samples_loop)
-        BACKEND = "numba"
-
-
-def rtt_samples(starts, ends, offsets, delay: float, period: float) -> np.ndarray:
-    """RTT of each sampled send, in ms.
+def send_times(starts, ends, offsets) -> np.ndarray:
+    """Wall-clock send time of each connected-time offset, in ms.
 
     ``starts``/``ends`` are the VSTA's sorted, disjoint connected
     intervals within one period (half-open).  ``offsets`` are send
     offsets in connected-time coordinates, already wrapped into
     ``[0, sum(ends - starts))``.
     """
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    ends = np.ascontiguousarray(ends, dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
     cum = np.cumsum(ends - starts)
-    return rtt_samples_backend(BACKEND, starts, ends, cum, offsets, delay, period)
+    cum0 = np.concatenate(([0.0], cum))
+    idx = np.searchsorted(cum, offsets, side="right")
+    return starts[idx] + (offsets - cum0[idx])
 
 
-def rtt_samples_backend(backend, starts, ends, cum, offsets, delay, period):
-    """Run a specific backend; used directly by the benchmark."""
-    if backend == "numba":
-        if _rtt_samples_numba is None:
-            raise RuntimeError("numba backend is not available")
-        out = np.empty_like(offsets)
-        return _rtt_samples_numba(starts, ends, cum, offsets, float(delay), float(period), out)
-    if backend == "numpy":
-        return _rtt_samples_numpy(starts, ends, cum, offsets, float(delay), float(period))
-    raise ValueError(f"unknown kernel backend {backend!r}")
-
-
-def available_backends() -> tuple[str, ...]:
-    backends = ["numpy"]
-    if _rtt_samples_numba is not None:
-        backends.append("numba")
-    return tuple(backends)
+def rtt_samples(starts, ends, sends, delay: float, period: float) -> np.ndarray:
+    """RTT of each send in ``sends`` (from ``send_times``), in ms."""
+    # sends and delay are >= 0, where fmod equals % bit for bit
+    phase = np.fmod(sends + delay, period)
+    # i counts the windows opening at or before the ack, so window i is
+    # the next to open (i == len(starts): the first one of the next
+    # period).  A VSTA has few windows, and counting them is cheaper
+    # than np.searchsorted.
+    i = np.zeros(phase.shape, np.intp)
+    for start in starts.tolist():
+        i += phase >= start
+    next_starts = np.append(starts, period + starts[0])
+    # the ack lands connected when it falls before the end of window i - 1
+    prev_ends = np.concatenate(([-np.inf], ends))
+    wait = np.where(phase < prev_ends.take(i), 0.0, next_starts.take(i) - phase)
+    return delay + wait

@@ -11,25 +11,35 @@ Three ways to place the slots of a plan into the period:
   needs per-path delay and loss estimates).
 * ``upper_bound_allocate`` -- exhaustive search scored by the
   Monte-Carlo throughput model; unattainable in practice, used as the
-  comparison ceiling.
+  comparison ceiling.  ``upper_bound_sweep`` runs it for a whole delay
+  sweep at once.
+
+The exhaustive searches score a ``SearchTable``: every feasible owner
+vector with its per-VSTA worst disconnection and RTT pattern, built once
+and shared across objectives and delays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .rttmodel import (
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
+    _round_pattern,
     mathis_throughput,
 )
-from .schedule import SlotPlan, SlotSchedule, disconnection_costs, max_disconnection
+from .schedule import SlotPlan, SlotSchedule, max_disconnection
 
 DEFAULT_MAX_SCHEDULES = 1_000_000
 DEFAULT_COMBINATION_BUDGET = 1_000_000
+#: owner vectors processed per block while building a ``SearchTable``
+TABLE_BLOCK = 1 << 15
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -87,15 +97,146 @@ def enumerate_schedules(
     Rotations of the same cyclic arrangement are enumerated as
     distinct owner vectors.
     """
-    count = schedule_count(plan)
-    if count > max_schedules:
-        raise EnumerationBudgetError(count, max_schedules)
+    count = _checked_count(plan, max_schedules)
 
     def gen() -> Iterator[SlotSchedule]:
         for owners in _multiset_permutations(plan.slot_counts):
             yield SlotSchedule.from_owners(plan, owners)
 
     return gen(), count
+
+
+def _checked_count(plan: SlotPlan, max_schedules: int) -> int:
+    count = schedule_count(plan)
+    if count > max_schedules:
+        raise EnumerationBudgetError(count, max_schedules)
+    return count
+
+
+class SearchTable:
+    """Every feasible owner vector of a plan, with what the searches score.
+
+    Rows are owner vectors in lexicographic order, so a first argmax or
+    argmin over a row score keeps the lexicographically smallest
+    winner.  The table holds numpy arrays, not one ``SlotSchedule`` per
+    row:
+
+    * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
+    * ``worst[s, v - 1]`` -- ``max_disconnection`` of VSTA ``v``;
+    * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
+      ``keys[v - 1][id]`` is its ``_pattern_key`` and ``reps[v - 1][id]``
+      the first row that has it.
+
+    Values are bit-identical to those of ``SlotSchedule.from_owners``,
+    ``max_disconnection`` and ``_pattern_key`` on each row's schedule.
+    """
+
+    def __init__(self, plan: SlotPlan, max_schedules: int = DEFAULT_MAX_SCHEDULES):
+        self.plan = plan
+        self.count = _checked_count(plan, max_schedules)
+        n = plan.n_vstas
+        self.owners = np.empty((self.count, plan.total_slots), np.min_scalar_type(n))
+        self.worst = np.empty((self.count, n))
+        self.pattern = np.empty((self.count, n), np.int32)
+        interned: list[dict[tuple, int]] = [{} for _ in range(n)]
+        perms = _multiset_permutations(plan.slot_counts)
+        for first in range(0, self.count, TABLE_BLOCK):
+            block = np.array(list(islice(perms, TABLE_BLOCK)), self.owners.dtype)
+            rows = slice(first, first + len(block))
+            self.owners[rows] = block
+            self._fill(rows, block, interned)
+        self.keys = [list(ids) for ids in interned]
+        self.reps = [
+            np.unique(self.pattern[:, v], return_index=True)[1] for v in range(n)
+        ]
+
+    def schedule(self, s: int) -> SlotSchedule:
+        """The ``SlotSchedule`` of row ``s``."""
+        return SlotSchedule.from_owners(self.plan, self.owners[s])
+
+    def _fill(self, rows: slice, owners: np.ndarray, interned) -> None:
+        plan = self.plan
+        m, n_slots = owners.shape
+        durations = np.asarray(plan.slot_sizes_ms)[owners - 1]
+        starts = _start_times(plan, owners)
+        ends = starts + durations
+        row = np.arange(m)[:, None]
+        for v, g in enumerate(plan.slot_counts, start=1):
+            pos = np.nonzero(owners == v)[1].reshape(m, g)
+            # disconnection costs: the slots between consecutive owned
+            # positions, summed one by one as disconnection_costs does
+            between = (np.roll(pos, -1, axis=1) - pos - 1) % n_slots
+            costs = np.zeros((m, g))
+            for k in range(1, n_slots):
+                slot = durations[row, (pos + k) % n_slots]
+                costs += np.where(k <= between, slot, 0.0)
+            self.worst[rows, v - 1] = costs.max(axis=1)
+            self.pattern[rows, v - 1] = _intern_patterns(
+                np.take_along_axis(starts, pos, 1),
+                np.take_along_axis(ends, pos, 1),
+                plan.period_ms,
+                interned[v - 1],
+            )
+
+
+def _start_times(plan: SlotPlan, owners: np.ndarray) -> np.ndarray:
+    """Slot start times exactly as ``SlotSchedule.from_owners`` sets them.
+
+    A start time is the ``math.fsum`` of the preceding slot durations,
+    which is correctly rounded and so depends only on how many slots of
+    each VSTA precede the slot: one fsum per distinct count vector.
+    """
+    radix = np.cumprod([1] + [g + 1 for g in plan.slot_counts[:-1]])
+    steps = radix[owners - 1]
+    codes = np.cumsum(steps, axis=1) - steps
+    distinct, which = np.unique(codes.ravel(), return_inverse=True)
+    sums = [
+        math.fsum(chain.from_iterable(
+            repeat(size, (code // r) % (g + 1))
+            for size, r, g in zip(plan.slot_sizes_ms, radix.tolist(), plan.slot_counts)
+        ))
+        for code in distinct.tolist()
+    ]
+    return np.array(sums)[which].reshape(codes.shape)
+
+
+def _intern_patterns(
+    slot_starts: np.ndarray, slot_ends: np.ndarray, period: float, interned: dict
+) -> np.ndarray:
+    """Pattern id of each row's owned slots, as ``_pattern_key`` would key them.
+
+    Slots merge into a window where one ends within 1e-9 ms of the next
+    one's start (``connected_intervals``); windows are keyed by their
+    lengths and the gaps after them.  ``interned`` maps keys to ids and
+    grows with unseen keys.
+    """
+    m, g = slot_starts.shape
+    opens = np.ones((m, g), bool)
+    opens[:, 1:] = np.abs(slot_ends[:, :-1] - slot_starts[:, 1:]) > 1e-9
+    closes = np.ones((m, g), bool)
+    closes[:, :-1] = opens[:, 1:]
+    window = np.cumsum(opens, axis=1) - 1
+    n_windows = window[:, -1] + 1
+    win_starts = np.zeros((m, g))
+    win_ends = np.zeros((m, g))
+    r, c = np.nonzero(opens)
+    win_starts[r, window[r, c]] = slot_starts[r, c]
+    r, c = np.nonzero(closes)
+    win_ends[r, window[r, c]] = slot_ends[r, c]
+    nxt = np.zeros((m, g))
+    nxt[:, :-1] = win_starts[:, 1:]
+    nxt[np.arange(m), n_windows - 1] = period + win_starts[:, 0]
+    windows = np.stack([win_ends - win_starts, nxt - win_ends], axis=2)
+    unused = np.arange(g) >= n_windows[:, None]
+    windows[unused] = -1.0
+    distinct, first, which = np.unique(
+        windows.reshape(m, 2 * g), axis=0, return_index=True, return_inverse=True
+    )
+    ids = [
+        interned.setdefault(_round_pattern(zip(w[0:2 * k:2], w[1:2 * k:2])), len(interned))
+        for w, k in zip(distinct.tolist(), n_windows[first].tolist())
+    ]
+    return np.array(ids, np.int32)[which.ravel()]
 
 
 def eq2_objective(schedule: SlotSchedule) -> float:
@@ -209,15 +350,7 @@ def minmax_allocate(
 
     owners = [owner_of[p] for p in range(1, total_slots + 1)]
     schedule = SlotSchedule.from_owners(plan, owners)
-    per_vsta = tuple(
-        max_disconnection(schedule, v) for v in range(1, plan.n_vstas + 1)
-    )
-    return AllocationResult(
-        schedule=schedule,
-        per_vsta_max_disconnection=per_vsta,
-        objective_value=eq2_objective(schedule),
-        evaluations=evaluations,
-    )
+    return _result(schedule, eq2_objective(schedule), evaluations)
 
 
 def _greedy_even_pick(free: Sequence[int], g: int, total_slots: int) -> list[int]:
@@ -242,6 +375,7 @@ def blind_allocate(
     objective: str = "eq2",
     paths: Sequence[PathParams] | None = None,
     max_schedules: int = DEFAULT_MAX_SCHEDULES,
+    table: SearchTable | None = None,
 ) -> AllocationResult:
     """Exhaustive search over every feasible schedule.
 
@@ -249,7 +383,7 @@ def blind_allocate(
     disconnection times; ``objective="eq1"`` minimizes the total
     throughput penalty and requires ``paths``.  Enumeration is
     lexicographic, so ties keep the lexicographically smallest owner
-    vector.
+    vector.  Pass the plan's ``table`` to reuse its enumeration.
     """
     if objective not in ("eq1", "eq2"):
         raise ValueError(f"objective must be 'eq1' or 'eq2', got {objective!r}")
@@ -258,27 +392,60 @@ def blind_allocate(
             raise ValueError("objective 'eq1' requires per-VSTA path parameters")
         if len(paths) != plan.n_vstas:
             raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
-    schedules, count = enumerate_schedules(plan, max_schedules)
-    best_schedule = None
-    best_score = None
-    for schedule in schedules:
-        if objective == "eq2":
-            score = eq2_objective(schedule)
-            better = best_score is None or score > best_score
+    table = _table_for(plan, max_schedules, table)
+    if objective == "eq2":
+        scores = _eq2_scores(table)
+        best = int(np.argmax(scores))
+    else:
+        scores = _eq1_penalties(table, paths)  # type: ignore[arg-type]
+        best = int(np.argmin(scores))
+    return _result(table.schedule(best), float(scores[best]), table.count)
+
+
+def _table_for(plan: SlotPlan, max_schedules: int, table: SearchTable | None) -> SearchTable:
+    if table is None:
+        return SearchTable(plan, max_schedules)
+    if table.plan != plan:
+        raise ValueError("search table was built for another slot plan")
+    return table
+
+
+def _eq2_scores(table: SearchTable) -> np.ndarray:
+    """``eq2_objective`` of every row, summed over VSTAs in order."""
+    scores = np.zeros(table.count)
+    for worst in table.worst.T:
+        inverse = np.full(table.count, math.inf)
+        np.divide(1.0, worst, out=inverse, where=worst > 0.0)
+        scores += inverse
+    return scores
+
+
+def _eq1_penalties(table: SearchTable, paths: Sequence[PathParams]) -> np.ndarray:
+    """``eq1_penalty`` of every row, summed over VSTAs in order."""
+    penalties = np.zeros(table.count)
+    for worst, path in zip(table.worst.T, paths):
+        if path.delay_ms <= 0.0:
+            terms = np.full(table.count, math.inf)
         else:
-            score = eq1_penalty(schedule, paths)  # type: ignore[arg-type]
-            better = best_score is None or score < best_score
-        if better:
-            best_schedule, best_score = schedule, score
-    assert best_schedule is not None
-    per_vsta = tuple(
-        max_disconnection(best_schedule, v) for v in range(1, plan.n_vstas + 1)
-    )
+            levels, which = np.unique(worst, return_inverse=True)
+            ideal = mathis_throughput(path.mss_bytes, path.delay_ms, path.loss_rate)
+            terms = np.array([
+                ideal - mathis_throughput(path.mss_bytes, path.delay_ms + w, path.loss_rate)
+                for w in levels.tolist()
+            ])[which]
+        # a VSTA that is never disconnected adds no penalty
+        penalties = np.where(worst > 0.0, penalties + terms, penalties)
+    return penalties
+
+
+def _result(schedule: SlotSchedule, objective_value: float, evaluations: int) -> AllocationResult:
     return AllocationResult(
-        schedule=best_schedule,
-        per_vsta_max_disconnection=per_vsta,
-        objective_value=best_score,  # type: ignore[arg-type]
-        evaluations=count,
+        schedule=schedule,
+        per_vsta_max_disconnection=tuple(
+            max_disconnection(schedule, v) for v in range(1, schedule.n_vstas + 1)
+        ),
+        objective_value=objective_value,
+        evaluations=evaluations,
     )
 
 
@@ -288,32 +455,84 @@ def upper_bound_allocate(
     cfg: RttSamplerConfig,
     max_schedules: int = DEFAULT_MAX_SCHEDULES,
     evaluator: ThroughputEvaluator | None = None,
+    table: SearchTable | None = None,
 ) -> AllocationResult:
     """Best Monte-Carlo aggregate throughput over all feasible schedules.
 
     Scored with a fixed seed so the maximizer is reproducible; ties
     keep the lexicographically smallest owner vector.  Pass a shared
-    ``evaluator`` to reuse RTT statistics across repeated calls (e.g.
-    one call per swept delay).
+    ``evaluator`` to reuse RTT statistics across repeated calls; for a
+    whole delay sweep, ``upper_bound_sweep`` is cheaper.
     """
-    if len(paths) != plan.n_vstas:
-        raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
+    (result,) = upper_bound_sweep(plan, [paths], cfg, max_schedules, evaluator, table)
+    return result
+
+
+def upper_bound_sweep(
+    plan: SlotPlan,
+    paths_by_delay: Sequence[Sequence[PathParams]],
+    cfg: RttSamplerConfig,
+    max_schedules: int = DEFAULT_MAX_SCHEDULES,
+    evaluator: ThroughputEvaluator | None = None,
+    table: SearchTable | None = None,
+) -> list[AllocationResult]:
+    """``upper_bound_allocate`` for each entry of ``paths_by_delay``.
+
+    Each schedule scores ``evaluator.aggregate``, bit for bit and with
+    the evaluator's cache filled in the same order as one
+    ``upper_bound_allocate`` call per entry would: at each delay, the
+    rows in lexicographic order and each row's VSTAs in order, up to
+    the first VSTA with a zero mean RTT (whose infinite throughput ends
+    the sum).  The work is shared: each VSTA is sampled once per RTT
+    pattern, on the pattern's first row, with one draw of send times for
+    every delay the cache does not already answer.
+    """
+    for paths in paths_by_delay:
+        if len(paths) != plan.n_vstas:
+            raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
     if evaluator is None:
         evaluator = ThroughputEvaluator(cfg)
-    schedules, count = enumerate_schedules(plan, max_schedules)
-    best_schedule = None
-    best_score = -math.inf
-    for schedule in schedules:
-        score = evaluator.aggregate(schedule, paths)
-        if best_schedule is None or score > best_score:
-            best_schedule, best_score = schedule, score
-    assert best_schedule is not None
-    per_vsta = tuple(
-        max_disconnection(best_schedule, v) for v in range(1, plan.n_vstas + 1)
-    )
-    return AllocationResult(
-        schedule=best_schedule,
-        per_vsta_max_disconnection=per_vsta,
-        objective_value=best_score,
-        evaluations=count,
-    )
+    table = _table_for(plan, max_schedules, table)
+
+    # sampled[v - 1][id, k]: mean RTT of pattern id on its first row at
+    # delay k, NaN where the cache already held the entry
+    sampled = []
+    for v in range(1, plan.n_vstas + 1):
+        delays = [paths[v - 1].delay_ms for paths in paths_by_delay]
+        means = np.full((len(table.keys[v - 1]), len(delays)), np.nan)
+        for pid, key in enumerate(table.keys[v - 1]):
+            todo = [k for k, d in enumerate(delays) if evaluator.lookup(v, d, key) is None]
+            if todo:
+                rep = table.schedule(int(table.reps[v - 1][pid]))
+                means[pid, todo] = evaluator.sampled_means(rep, v, [delays[k] for k in todo])
+        sampled.append(means)
+
+    results = []
+    for k, paths in enumerate(paths_by_delay):
+        scores = np.zeros(table.count)
+        live = np.ones(table.count, bool)  # rows whose sum is still finite
+        for v, path in enumerate(paths, start=1):
+            ids = table.pattern[:, v - 1]
+            rows = np.flatnonzero(live)
+            needed, at = np.unique(ids[rows], return_index=True)
+            means = np.full(len(table.keys[v - 1]), np.nan)
+            throughputs = np.zeros(len(means))
+            for pid, first in zip(needed.tolist(), rows[at].tolist()):
+                key = table.keys[v - 1][pid]
+                mean = evaluator.lookup(v, path.delay_ms, key)
+                if mean is None and first == table.reps[v - 1][pid]:
+                    mean = float(sampled[v - 1][pid, k])
+                    evaluator.remember(v, path.delay_ms, key, mean)
+                elif mean is None:
+                    # the pattern's first row stopped at an earlier VSTA
+                    mean = evaluator.mean_rtt(table.schedule(first), v, path.delay_ms)
+                means[pid] = mean
+                throughputs[pid] = (
+                    math.inf if mean <= 0.0
+                    else mathis_throughput(path.mss_bytes, mean, path.loss_rate)
+                )
+            scores += throughputs[ids]
+            live &= (means > 0.0)[ids]
+        best = int(np.argmax(scores))
+        results.append(_result(table.schedule(best), float(scores[best]), table.count))
+    return results

@@ -29,7 +29,6 @@ from .scenarios import (
     schedule_records,
 )
 from .schedule import build_contiguous_schedule, derive_slot_plan
-from ._kernels import BACKEND
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,11 +124,7 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(
-            f"minislot: wrote {len(rows)} rows to {args.out} "
-            f"(kernel backend: {BACKEND})",
-            file=sys.stderr,
-        )
+        print(f"minislot: wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import rtt_samples
+from ._kernels import rtt_samples, send_times
 from .schedule import SlotSchedule, _check_vsta, max_disconnection
 
 #: loss rates at or above this bound invalidate the Reno throughput model
@@ -157,6 +157,24 @@ def sample_rtts(
     schedule: SlotSchedule, vsta: int, path: PathParams, cfg: RttSamplerConfig
 ) -> RttStats:
     """Monte-Carlo RTT summary for ``vsta``; deterministic per seed."""
+    (rtts,) = sweep_rtt_samples(schedule, vsta, (path.delay_ms,), cfg)
+    return RttStats(
+        mean_ms=float(rtts.mean()),
+        min_ms=float(rtts.min()),
+        max_ms=float(rtts.max()),
+        n=cfg.n_samples,
+    )
+
+
+def sweep_rtt_samples(
+    schedule: SlotSchedule, vsta: int, delays_ms: Sequence[float], cfg: RttSamplerConfig
+) -> Iterator[np.ndarray]:
+    """Sampled RTTs of ``vsta`` at each delay, from one draw of send times.
+
+    The send times depend on the seed and the schedule only, so every
+    delay sees the same sends, exactly as separate ``sample_rtts`` calls
+    with the same seed would.
+    """
     intervals = connected_intervals(schedule, vsta)
     starts = np.array([s for s, _ in intervals])
     ends = np.array([e for _, e in intervals])
@@ -167,13 +185,9 @@ def sample_rtts(
     offsets += raw
     # for offsets >= 0, fmod equals % bit for bit and is cheaper
     np.fmod(offsets, total, out=offsets)
-    rtts = rtt_samples(starts, ends, offsets, path.delay_ms, schedule.period_ms)
-    return RttStats(
-        mean_ms=float(rtts.mean()),
-        min_ms=float(rtts.min()),
-        max_ms=float(rtts.max()),
-        n=cfg.n_samples,
-    )
+    sends = send_times(starts, ends, offsets)
+    for delay in delays_ms:
+        yield rtt_samples(starts, ends, sends, delay, schedule.period_ms)
 
 
 def _reconnection_anchors(
@@ -241,12 +255,18 @@ def aggregate_throughput(
 class ThroughputEvaluator:
     """Caches per-VSTA mean RTTs across schedules that share geometry.
 
-    Two schedules give a VSTA identical RTT statistics whenever the
-    cyclic pattern of its connected windows and the gaps between them
-    is the same, anchored at the first window of the period.  The
-    exhaustive upper-bound search evaluates thousands of schedules that
-    collapse onto a few such patterns, so caching on the pattern makes
-    the search cheap while returning exactly what ``sample_rtts`` would.
+    Two schedules give a VSTA the same RTT statistics, up to rounding,
+    whenever the cyclic pattern of its connected windows and the gaps
+    between them is the same, anchored at the first window of the
+    period.  The cache is keyed on (VSTA, delay, pattern) and keeps the
+    mean of the first schedule evaluated for each key; every later
+    schedule with that pattern reads the same value.  Schedules that
+    share a pattern place their windows at other start times, so their
+    own sampled means may differ from the cached one by an ulp or two:
+    what a schedule reads depends on which schedule filled the entry.
+    ``run_scenario`` therefore fixes the fill order at each delay: the
+    rows listed before ``upperbound`` first, then the upper-bound
+    search in lexicographic order of the owner vectors.
     """
 
     def __init__(self, cfg: RttSamplerConfig):
@@ -254,14 +274,32 @@ class ThroughputEvaluator:
         self._mean_rtt_cache: dict[tuple, float] = {}
 
     def mean_rtt(self, schedule: SlotSchedule, vsta: int, delay_ms: float) -> float:
-        key = (vsta, delay_ms, _pattern_key(schedule, vsta))
-        cached = self._mean_rtt_cache.get(key)
+        key = _pattern_key(schedule, vsta)
+        cached = self.lookup(vsta, delay_ms, key)
         if cached is None:
-            per_vsta = replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
             path = PathParams(delay_ms=delay_ms)
-            cached = sample_rtts(schedule, vsta, path, per_vsta).mean_ms
-            self._mean_rtt_cache[key] = cached
+            cached = sample_rtts(schedule, vsta, path, self._vsta_cfg(vsta)).mean_ms
+            self.remember(vsta, delay_ms, key, cached)
         return cached
+
+    def lookup(self, vsta: int, delay_ms: float, key: tuple) -> float | None:
+        """Cached mean RTT for the pattern ``key`` (see ``_pattern_key``), if any."""
+        return self._mean_rtt_cache.get((vsta, delay_ms, key))
+
+    def remember(self, vsta: int, delay_ms: float, key: tuple, mean_ms: float) -> None:
+        self._mean_rtt_cache[(vsta, delay_ms, key)] = mean_ms
+
+    def sampled_means(
+        self, schedule: SlotSchedule, vsta: int, delays_ms: Sequence[float]
+    ) -> list[float]:
+        """Sampled mean RTT at each delay, from one draw; bypasses the cache."""
+        return [
+            float(rtts.mean())
+            for rtts in sweep_rtt_samples(schedule, vsta, delays_ms, self._vsta_cfg(vsta))
+        ]
+
+    def _vsta_cfg(self, vsta: int) -> RttSamplerConfig:
+        return replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
 
     def aggregate(self, schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
         # Unlike aggregate_throughput, a zero mean RTT (delay 0 and an
@@ -279,9 +317,14 @@ class ThroughputEvaluator:
 def _pattern_key(schedule: SlotSchedule, vsta: int) -> tuple:
     intervals = connected_intervals(schedule, vsta)
     period = schedule.period_ms
-    key = []
+    windows = []
     for i, (start, end) in enumerate(intervals):
         nxt = intervals[(i + 1) % len(intervals)][0]
         gap = nxt - end if i + 1 < len(intervals) else (period + nxt) - end
-        key.append((round(end - start, 9), round(gap, 9)))
-    return tuple(key)
+        windows.append((end - start, gap))
+    return _round_pattern(windows)
+
+
+def _round_pattern(windows: Iterable[tuple[float, float]]) -> tuple:
+    """Pattern key from each window's (length, gap to the next window) in ms."""
+    return tuple((round(length, 9), round(gap, 9)) for length, gap in windows)

@@ -16,9 +16,10 @@ from typing import Sequence
 
 from .allocation import (
     DEFAULT_MAX_SCHEDULES,
+    SearchTable,
     blind_allocate,
     minmax_allocate,
-    upper_bound_allocate,
+    upper_bound_sweep,
 )
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
@@ -280,55 +281,66 @@ def run_scenario(
     evaluator = ThroughputEvaluator(scenario.sampler)
     seed = scenario.sampler.seed
     n = plan.n_vstas
+    algorithms = scenario.algorithms
+    paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
+    table = None
+    if {"eq1", "eq2", "upperbound"} & set(algorithms):
+        table = SearchTable(plan, max_schedules)
 
     fixed_schedules: dict[str, SlotSchedule] = {
         "nopolicy": build_contiguous_schedule(plan),
     }
-    if "minmax" in scenario.algorithms:
+    if "minmax" in algorithms:
         fixed_schedules["minmax"] = minmax_allocate(plan).schedule
-    if "eq2" in scenario.algorithms:
-        fixed_schedules["eq2"] = blind_allocate(
-            plan, "eq2", max_schedules=max_schedules
-        ).schedule
+    if "eq2" in algorithms:
+        fixed_schedules["eq2"] = blind_allocate(plan, "eq2", table=table).schedule
+
+    def evaluate(schedule: SlotSchedule, paths: list[PathParams]):
+        rtts = [
+            evaluator.mean_rtt(schedule, v, paths[v - 1].delay_ms)
+            for v in range(1, n + 1)
+        ]
+        ths = [
+            _safe_throughput(paths[v - 1].mss_bytes, rtts[v - 1], paths[v - 1].loss_rate)
+            for v in range(1, n + 1)
+        ]
+        return rtts, ths, math.fsum(ths)
+
+    per_alg: list[dict] = [{} for _ in paths_by_delay]
+    upper: list[SlotSchedule] = []
+
+    def evaluate_rows(algs: Sequence[str]) -> None:
+        for k, paths in enumerate(paths_by_delay):
+            for alg in algs:
+                if alg in per_alg[k]:
+                    continue
+                if alg in fixed_schedules:
+                    schedule = fixed_schedules[alg]
+                elif alg == "eq1":
+                    schedule = blind_allocate(plan, "eq1", paths=paths, table=table).schedule
+                else:
+                    schedule = upper[k]
+                per_alg[k][alg] = evaluate(schedule, paths)
+
+    # The evaluator keeps the first mean it computes for each (VSTA,
+    # delay, pattern), so the order of evaluation decides the last bits:
+    # at each delay the baseline and the rows listed before upperbound,
+    # then the search, then the rest.
+    cut = algorithms.index("upperbound") if "upperbound" in algorithms else len(algorithms)
+    evaluate_rows(("nopolicy",) + algorithms[:cut])
+    if cut < len(algorithms):
+        upper = [
+            result.schedule for result in upper_bound_sweep(
+                plan, paths_by_delay, scenario.sampler, evaluator=evaluator, table=table,
+            )
+        ]
+        evaluate_rows(algorithms[cut:])
 
     rows: list[ResultRow] = []
-    for base_delay in scenario.delays_ms:
-        paths = scenario.paths_at(base_delay)
-
-        def evaluate(schedule: SlotSchedule):
-            rtts = [
-                evaluator.mean_rtt(schedule, v, paths[v - 1].delay_ms)
-                for v in range(1, n + 1)
-            ]
-            ths = [
-                _safe_throughput(paths[v - 1].mss_bytes, rtts[v - 1], paths[v - 1].loss_rate)
-                for v in range(1, n + 1)
-            ]
-            return rtts, ths, math.fsum(ths)
-
-        baseline = evaluate(fixed_schedules["nopolicy"])
-        per_alg = {"nopolicy": baseline}
-        for alg in scenario.algorithms:
-            if alg in per_alg:
-                continue
-            if alg in fixed_schedules:
-                schedule = fixed_schedules[alg]
-            elif alg == "eq1":
-                schedule = blind_allocate(
-                    plan, "eq1", paths=paths, max_schedules=max_schedules
-                ).schedule
-            elif alg == "upperbound":
-                schedule = upper_bound_allocate(
-                    plan, paths, scenario.sampler,
-                    max_schedules=max_schedules, evaluator=evaluator,
-                ).schedule
-            else:  # pragma: no cover - guarded by Scenario validation
-                raise ConfigError(f"unknown algorithm {alg!r}")
-            per_alg[alg] = evaluate(schedule)
-
-        base_rtts, base_ths, base_agg = baseline
-        for alg in scenario.algorithms:
-            rtts, ths, agg = per_alg[alg]
+    for base_delay, results in zip(scenario.delays_ms, per_alg):
+        base_rtts, base_ths, base_agg = results["nopolicy"]
+        for alg in algorithms:
+            rtts, ths, agg = results[alg]
             agg_ratio = 1.0 if alg == "nopolicy" else _ratio(agg, base_agg)
             for v in range(1, n + 1):
                 v_ratio = 1.0 if alg == "nopolicy" else _ratio(ths[v - 1], base_ths[v - 1])

@@ -16,7 +16,7 @@ from minislot.allocation import (
     eq2_objective,
     minmax_allocate,
     schedule_count,
-    upper_bound_allocate,
+    upper_bound_sweep,
 )
 from minislot.rttmodel import (
     PathParams,
@@ -51,7 +51,9 @@ def sweeps():
 
     For each case and swept delay: aggregates of the contiguous
     baseline, the min-max heuristic, the exhaustive eq2 optimum and the
-    exhaustive Monte-Carlo upper bound, all under one seed.
+    exhaustive Monte-Carlo upper bound, all under one seed.  The three
+    fixed schedules are evaluated at every delay before the upper-bound
+    sweep, the order in which ``run_scenario`` fills the evaluator.
     """
     data = {}
     for case in CASES:
@@ -61,18 +63,18 @@ def sweeps():
         nopolicy = build_contiguous_schedule(plan)
         heuristic = minmax_allocate(plan)
         exhaustive = blind_allocate(plan, "eq2")
+        paths_by_delay = [scenario.paths_at(delay) for delay in scenario.delays_ms]
         rows = []
-        for delay in scenario.delays_ms:
-            paths = scenario.paths_at(delay)
+        for delay, paths in zip(scenario.delays_ms, paths_by_delay):
             rows.append({
                 "delay": delay,
                 "nopolicy": evaluator.aggregate(nopolicy, paths),
                 "minmax": evaluator.aggregate(heuristic.schedule, paths),
                 "eq2": evaluator.aggregate(exhaustive.schedule, paths),
-                "upperbound": upper_bound_allocate(
-                    plan, paths, scenario.sampler, evaluator=evaluator
-                ).objective_value,
             })
+        upper = upper_bound_sweep(plan, paths_by_delay, scenario.sampler, evaluator=evaluator)
+        for row, result in zip(rows, upper):
+            row["upperbound"] = result.objective_value
         data[case] = {
             "plan": plan,
             "minmax": heuristic,

@@ -1,10 +1,13 @@
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 
+from minislot import allocation
 from minislot.allocation import (
     EnumerationBudgetError,
+    SearchTable,
     _multiset_permutations,
     blind_allocate,
     enumerate_schedules,
@@ -13,8 +16,14 @@ from minislot.allocation import (
     minmax_allocate,
     schedule_count,
     upper_bound_allocate,
+    upper_bound_sweep,
 )
-from minislot.rttmodel import PathParams, RttSamplerConfig, ThroughputEvaluator
+from minislot.rttmodel import (
+    PathParams,
+    RttSamplerConfig,
+    ThroughputEvaluator,
+    _pattern_key,
+)
 from minislot.schedule import (
     DutyCycleSet,
     build_contiguous_schedule,
@@ -234,3 +243,149 @@ class TestMaxDisconnectionConsistency:
                 for v in range(1, case3_plan.n_vstas + 1)
             )
             assert result.per_vsta_max_disconnection == direct
+
+
+# (duty cycles, slot time): case1-3, a single VSTA, and two VSTAs whose
+# two schedules tie on every objective
+PLANS = {
+    "case1": ([0.5, 0.125, 0.125, 0.125, 0.125], 15.0),
+    "case2": ([0.5, 0.125, 0.375], 12.5),
+    "case3": ([0.65, 0.25, 0.10], 10.0),
+    "single": ([1.0], 15.0),
+    "halves": ([0.5, 0.5], 25.0),
+}
+
+
+def plan_named(name):
+    duties, slot_time = PLANS[name]
+    return derive_slot_plan(DutyCycleSet(duties), slot_time)
+
+
+def brute_force(plan, score, better):
+    """The search as a plain loop over enumerate_schedules (the reference)."""
+    best = best_score = None
+    schedules, count = enumerate_schedules(plan)
+    for schedule in schedules:
+        value = score(schedule)
+        if best is None or better(value, best_score):
+            best, best_score = schedule, value
+    return best.owners, best_score, count
+
+
+class TestSearchTable:
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_schedule_functions(self, name):
+        plan = plan_named(name)
+        table = SearchTable(plan)
+        schedules, count = enumerate_schedules(plan)
+        assert table.count == count
+        for s, schedule in enumerate(schedules):
+            assert tuple(table.owners[s]) == schedule.owners
+            assert table.schedule(s) == schedule
+            for v in range(1, plan.n_vstas + 1):
+                assert table.worst[s, v - 1] == max_disconnection(schedule, v)
+                pid = table.pattern[s, v - 1]
+                assert table.keys[v - 1][pid] == _pattern_key(schedule, v)
+                assert table.reps[v - 1][pid] <= s
+        for v in range(plan.n_vstas):
+            for pid, rep in enumerate(table.reps[v]):
+                assert table.pattern[rep, v] == pid
+            # distinct ids have distinct keys
+            assert len(set(table.keys[v])) == len(table.keys[v])
+
+    def test_blocks_do_not_change_the_table(self, monkeypatch, case3_plan):
+        whole = SearchTable(case3_plan)
+        monkeypatch.setattr(allocation, "TABLE_BLOCK", 7)
+        blocked = SearchTable(case3_plan)
+        np.testing.assert_array_equal(blocked.owners, whole.owners)
+        np.testing.assert_array_equal(blocked.worst, whole.worst)
+        for v in range(case3_plan.n_vstas):
+            assert [blocked.keys[v][p] for p in blocked.pattern[:, v]] == [
+                whole.keys[v][p] for p in whole.pattern[:, v]
+            ]
+
+    def test_budget_enforced(self, case1_plan):
+        with pytest.raises(EnumerationBudgetError) as exc_info:
+            SearchTable(case1_plan, max_schedules=1679)
+        assert exc_info.value.count == 1680
+
+    def test_table_of_another_plan_rejected(self, case2_plan, case3_plan):
+        with pytest.raises(ValueError, match="another slot plan"):
+            blind_allocate(case2_plan, "eq2", table=SearchTable(case3_plan))
+
+
+class TestTableSearchMatchesBruteForce:
+    CFG = RttSamplerConfig(n_samples=300, seed=5)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_eq2(self, name):
+        plan = plan_named(name)
+        result = blind_allocate(plan, "eq2")
+        want = brute_force(plan, eq2_objective, lambda a, b: a > b)
+        assert (result.schedule.owners, result.objective_value, result.evaluations) == want
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    @pytest.mark.parametrize("delay", (0.0, 10.0, 55.0))
+    def test_eq1(self, name, delay):
+        plan = plan_named(name)
+        paths = [PathParams(delay_ms=delay + 20.0 * i) for i in range(plan.n_vstas)]
+        result = blind_allocate(plan, "eq1", paths=paths)
+        want = brute_force(plan, lambda s: eq1_penalty(s, paths), lambda a, b: a < b)
+        assert (result.schedule.owners, result.objective_value, result.evaluations) == want
+
+    def test_tie_break_keeps_first_owner_vector(self):
+        plan = plan_named("halves")
+        paths = [PathParams(delay_ms=30.0)] * 2
+        for result in (
+            blind_allocate(plan, "eq2"),
+            blind_allocate(plan, "eq1", paths=paths),
+            upper_bound_allocate(plan, paths, self.CFG),
+        ):
+            assert result.schedule.owners == (1, 2)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_upper_bound_sweep(self, name):
+        """Winners, scores and the evaluator's cache match one search per delay.
+
+        Delay 0 gives zero mean RTTs, hence infinite aggregates; the
+        repeated delay is answered from the cache.
+        """
+        plan = plan_named(name)
+        paths_by_delay = [
+            [PathParams(delay_ms=base + 20.0 * i) for i in range(plan.n_vstas)]
+            for base in (0.0, 10.0, 55.0, 10.0)
+        ]
+        swept = ThroughputEvaluator(self.CFG)
+        results = upper_bound_sweep(plan, paths_by_delay, self.CFG, evaluator=swept)
+        looped = ThroughputEvaluator(self.CFG)
+        singles = ThroughputEvaluator(self.CFG)
+        for paths, result in zip(paths_by_delay, results):
+            want = brute_force(
+                plan, lambda s: looped.aggregate(s, paths), lambda a, b: a > b
+            )
+            assert (result.schedule.owners, result.objective_value, result.evaluations) == want
+            single = upper_bound_allocate(plan, paths, self.CFG, evaluator=singles)
+            assert single == result
+        assert swept._mean_rtt_cache == looped._mean_rtt_cache == singles._mean_rtt_cache
+
+    def test_upper_bound_rows_cut_short_by_a_zero_mean(self, case3_plan):
+        """A zero mean RTT ends a row's sum, and its later VSTAs go unevaluated.
+
+        A cached zero mean for VSTA 1's pattern in the first row kills
+        every row with that pattern, so some VSTA 2 and 3 patterns are
+        first evaluated on a later row than the one that has them first.
+        In case3 the two rows' windows start at other times, so their
+        sampled means differ in the last bits.
+        """
+        paths = [PathParams(delay_ms=d) for d in (10.0, 30.0, 50.0)]
+        first = next(enumerate_schedules(case3_plan)[0])
+        evaluators = [ThroughputEvaluator(self.CFG) for _ in range(2)]
+        for evaluator in evaluators:
+            evaluator.remember(1, 10.0, _pattern_key(first, 1), 0.0)
+        swept, looped = evaluators
+        (result,) = upper_bound_sweep(case3_plan, [paths], self.CFG, evaluator=swept)
+        want = brute_force(
+            case3_plan, lambda s: looped.aggregate(s, paths), lambda a, b: a > b
+        )
+        assert (result.schedule.owners, result.objective_value, result.evaluations) == want
+        assert swept._mean_rtt_cache == looped._mean_rtt_cache

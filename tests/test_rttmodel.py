@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minislot._kernels import available_backends, rtt_samples, rtt_samples_backend
+from minislot._kernels import rtt_samples, send_times
 from minislot.allocation import minmax_allocate
 from minislot.rttmodel import (
     MathisValidityError,
@@ -144,7 +144,8 @@ class TestSampleRtts:
 
         starts = np.array([s for s, _ in intervals])
         ends = np.array([e for _, e in intervals])
-        got = rtt_samples(starts, ends, offsets, delay, case2_contiguous.period_ms)
+        sends = send_times(starts, ends, offsets)
+        got = rtt_samples(starts, ends, sends, delay, case2_contiguous.period_ms)
 
         cum = np.concatenate(([0.0], np.cumsum(widths)))
         for k, off in enumerate(offsets):
@@ -172,27 +173,6 @@ class TestSampleRtts:
         ]
         spread = worst_case_rtt(schedule, vsta, delay) - delay
         assert max(means) - min(means) <= 4.0 * spread / math.sqrt(self.CFG.n_samples)
-
-
-class TestKernelBackends:
-    def test_backends_bit_identical(self, case2_contiguous):
-        if "numba" not in available_backends():
-            pytest.skip("numba backend unavailable")
-        intervals = connected_intervals(case2_contiguous, 1)
-        starts = np.array([s for s, _ in intervals])
-        ends = np.array([e for _, e in intervals])
-        cum = np.cumsum(ends - starts)
-        rng = np.random.default_rng(99)
-        offsets = rng.uniform(0.0, float(cum[-1]), 5000)
-        for delay in (0.0, 3.0, 47.0, 50.0, 161.5):
-            a = rtt_samples_backend("numba", starts, ends, cum, offsets, delay, 100.0)
-            b = rtt_samples_backend("numpy", starts, ends, cum, offsets, delay, 100.0)
-            np.testing.assert_array_equal(a, b)
-
-    def test_unknown_backend_rejected(self):
-        arr = np.array([0.0])
-        with pytest.raises(ValueError, match="backend"):
-            rtt_samples_backend("fortran", arr, arr, arr, arr, 0.0, 1.0)
 
 
 class TestMathisThroughput:

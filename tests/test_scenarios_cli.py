@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -123,6 +124,20 @@ class TestRunScenario:
             if row.algorithm == "nopolicy":
                 assert row.ratio_vs_nopolicy == 1.0
             assert row.seed == 42
+
+    def test_upper_bound_leaves_earlier_rows_alone(self):
+        """Rows listed before upperbound fill the evaluator before its search,
+        so appending upperbound leaves their values bit for bit.
+
+        At case2 15 ms the search's first rows with min-max's and eq2's
+        patterns sample means an ulp away from theirs.
+        """
+        (scenario,) = builtin_scenarios("case2")
+        scenario = replace(scenario, delays_ms=(0.0, 15.0, 55.0))
+        algorithms = ("nopolicy", "minmax", "eq2")
+        without = run_scenario(replace(scenario, algorithms=algorithms))
+        with_upper = run_scenario(replace(scenario, algorithms=algorithms + ("upperbound",)))
+        assert [r for r in with_upper if r.algorithm != "upperbound"] == without
 
     def test_aggregate_row_sums_vsta_rows(self):
         scenario = scenario_from_config(dict(SMALL_CONFIG))
