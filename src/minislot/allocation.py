@@ -455,7 +455,6 @@ def upper_bound_allocate(
     cfg: RttSamplerConfig,
     max_schedules: int = DEFAULT_MAX_SCHEDULES,
     evaluator: ThroughputEvaluator | None = None,
-    table: SearchTable | None = None,
 ) -> AllocationResult:
     """Best Monte-Carlo aggregate throughput over all feasible schedules.
 
@@ -464,7 +463,7 @@ def upper_bound_allocate(
     ``evaluator`` to reuse RTT statistics across repeated calls; for a
     whole delay sweep, ``upper_bound_sweep`` is cheaper.
     """
-    (result,) = upper_bound_sweep(plan, [paths], cfg, max_schedules, evaluator, table)
+    (result,) = upper_bound_sweep(plan, [paths], cfg, max_schedules, evaluator)
     return result
 
 
