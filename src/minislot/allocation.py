@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,15 +31,13 @@ from .rttmodel import (
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
-    _round_pattern,
+    _pattern_key,
     mathis_throughput,
 )
 from .schedule import SlotPlan, SlotSchedule, max_disconnection
 
 DEFAULT_MAX_SCHEDULES = 1_000_000
 DEFAULT_COMBINATION_BUDGET = 1_000_000
-#: owner vectors processed per block while building a ``SearchTable``
-TABLE_BLOCK = 1 << 15
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -97,20 +95,15 @@ def enumerate_schedules(
     Rotations of the same cyclic arrangement are enumerated as
     distinct owner vectors.
     """
-    count = _checked_count(plan, max_schedules)
+    count = schedule_count(plan)
+    if count > max_schedules:
+        raise EnumerationBudgetError(count, max_schedules)
 
     def gen() -> Iterator[SlotSchedule]:
         for owners in _multiset_permutations(plan.slot_counts):
             yield SlotSchedule.from_owners(plan, owners)
 
     return gen(), count
-
-
-def _checked_count(plan: SlotPlan, max_schedules: int) -> int:
-    count = schedule_count(plan)
-    if count > max_schedules:
-        raise EnumerationBudgetError(count, max_schedules)
-    return count
 
 
 class SearchTable:
@@ -126,25 +119,22 @@ class SearchTable:
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
       ``keys[v - 1][id]`` is its ``_pattern_key`` and ``reps[v - 1][id]``
       the first row that has it.
-
-    Values are bit-identical to those of ``SlotSchedule.from_owners``,
-    ``max_disconnection`` and ``_pattern_key`` on each row's schedule.
     """
 
     def __init__(self, plan: SlotPlan, max_schedules: int = DEFAULT_MAX_SCHEDULES):
+        schedules, count = enumerate_schedules(plan, max_schedules)
         self.plan = plan
-        self.count = _checked_count(plan, max_schedules)
+        self.count = count
         n = plan.n_vstas
-        self.owners = np.empty((self.count, plan.total_slots), np.min_scalar_type(n))
-        self.worst = np.empty((self.count, n))
-        self.pattern = np.empty((self.count, n), np.int32)
+        self.owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
+        self.worst = np.empty((count, n))
+        self.pattern = np.empty((count, n), np.int32)
         interned: list[dict[tuple, int]] = [{} for _ in range(n)]
-        perms = _multiset_permutations(plan.slot_counts)
-        for first in range(0, self.count, TABLE_BLOCK):
-            block = np.array(list(islice(perms, TABLE_BLOCK)), self.owners.dtype)
-            rows = slice(first, first + len(block))
-            self.owners[rows] = block
-            self._fill(rows, block, interned)
+        for s, schedule in enumerate(schedules):
+            self.owners[s] = schedule.owners
+            for v, ids in enumerate(interned, start=1):
+                self.worst[s, v - 1] = max_disconnection(schedule, v)
+                self.pattern[s, v - 1] = ids.setdefault(_pattern_key(schedule, v), len(ids))
         self.keys = [list(ids) for ids in interned]
         self.reps = [
             np.unique(self.pattern[:, v], return_index=True)[1] for v in range(n)
@@ -153,90 +143,6 @@ class SearchTable:
     def schedule(self, s: int) -> SlotSchedule:
         """The ``SlotSchedule`` of row ``s``."""
         return SlotSchedule.from_owners(self.plan, self.owners[s])
-
-    def _fill(self, rows: slice, owners: np.ndarray, interned) -> None:
-        plan = self.plan
-        m, n_slots = owners.shape
-        durations = np.asarray(plan.slot_sizes_ms)[owners - 1]
-        starts = _start_times(plan, owners)
-        ends = starts + durations
-        row = np.arange(m)[:, None]
-        for v, g in enumerate(plan.slot_counts, start=1):
-            pos = np.nonzero(owners == v)[1].reshape(m, g)
-            # disconnection costs: the slots between consecutive owned
-            # positions, summed one by one as disconnection_costs does
-            between = (np.roll(pos, -1, axis=1) - pos - 1) % n_slots
-            costs = np.zeros((m, g))
-            for k in range(1, n_slots):
-                slot = durations[row, (pos + k) % n_slots]
-                costs += np.where(k <= between, slot, 0.0)
-            self.worst[rows, v - 1] = costs.max(axis=1)
-            self.pattern[rows, v - 1] = _intern_patterns(
-                np.take_along_axis(starts, pos, 1),
-                np.take_along_axis(ends, pos, 1),
-                plan.period_ms,
-                interned[v - 1],
-            )
-
-
-def _start_times(plan: SlotPlan, owners: np.ndarray) -> np.ndarray:
-    """Slot start times exactly as ``SlotSchedule.from_owners`` sets them.
-
-    A start time is the ``math.fsum`` of the preceding slot durations,
-    which is correctly rounded and so depends only on how many slots of
-    each VSTA precede the slot: one fsum per distinct count vector.
-    """
-    radix = np.cumprod([1] + [g + 1 for g in plan.slot_counts[:-1]])
-    steps = radix[owners - 1]
-    codes = np.cumsum(steps, axis=1) - steps
-    distinct, which = np.unique(codes.ravel(), return_inverse=True)
-    sums = [
-        math.fsum(chain.from_iterable(
-            repeat(size, (code // r) % (g + 1))
-            for size, r, g in zip(plan.slot_sizes_ms, radix.tolist(), plan.slot_counts)
-        ))
-        for code in distinct.tolist()
-    ]
-    return np.array(sums)[which].reshape(codes.shape)
-
-
-def _intern_patterns(
-    slot_starts: np.ndarray, slot_ends: np.ndarray, period: float, interned: dict
-) -> np.ndarray:
-    """Pattern id of each row's owned slots, as ``_pattern_key`` would key them.
-
-    Slots merge into a window where one ends within 1e-9 ms of the next
-    one's start (``connected_intervals``); windows are keyed by their
-    lengths and the gaps after them.  ``interned`` maps keys to ids and
-    grows with unseen keys.
-    """
-    m, g = slot_starts.shape
-    opens = np.ones((m, g), bool)
-    opens[:, 1:] = np.abs(slot_ends[:, :-1] - slot_starts[:, 1:]) > 1e-9
-    closes = np.ones((m, g), bool)
-    closes[:, :-1] = opens[:, 1:]
-    window = np.cumsum(opens, axis=1) - 1
-    n_windows = window[:, -1] + 1
-    win_starts = np.zeros((m, g))
-    win_ends = np.zeros((m, g))
-    r, c = np.nonzero(opens)
-    win_starts[r, window[r, c]] = slot_starts[r, c]
-    r, c = np.nonzero(closes)
-    win_ends[r, window[r, c]] = slot_ends[r, c]
-    nxt = np.zeros((m, g))
-    nxt[:, :-1] = win_starts[:, 1:]
-    nxt[np.arange(m), n_windows - 1] = period + win_starts[:, 0]
-    windows = np.stack([win_ends - win_starts, nxt - win_ends], axis=2)
-    unused = np.arange(g) >= n_windows[:, None]
-    windows[unused] = -1.0
-    distinct, first, which = np.unique(
-        windows.reshape(m, 2 * g), axis=0, return_index=True, return_inverse=True
-    )
-    ids = [
-        interned.setdefault(_round_pattern(zip(w[0:2 * k:2], w[1:2 * k:2])), len(interned))
-        for w, k in zip(distinct.tolist(), n_windows[first].tolist())
-    ]
-    return np.array(ids, np.int32)[which.ravel()]
 
 
 def eq2_objective(schedule: SlotSchedule) -> float:
@@ -375,7 +281,6 @@ def blind_allocate(
     objective: str = "eq2",
     paths: Sequence[PathParams] | None = None,
     max_schedules: int = DEFAULT_MAX_SCHEDULES,
-    table: SearchTable | None = None,
 ) -> AllocationResult:
     """Exhaustive search over every feasible schedule.
 
@@ -383,7 +288,7 @@ def blind_allocate(
     disconnection times; ``objective="eq1"`` minimizes the total
     throughput penalty and requires ``paths``.  Enumeration is
     lexicographic, so ties keep the lexicographically smallest owner
-    vector.  Pass the plan's ``table`` to reuse its enumeration.
+    vector.
     """
     if objective not in ("eq1", "eq2"):
         raise ValueError(f"objective must be 'eq1' or 'eq2', got {objective!r}")
@@ -392,7 +297,13 @@ def blind_allocate(
             raise ValueError("objective 'eq1' requires per-VSTA path parameters")
         if len(paths) != plan.n_vstas:
             raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
-    table = _table_for(plan, max_schedules, table)
+    return _blind_search(SearchTable(plan, max_schedules), objective, paths)
+
+
+def _blind_search(
+    table: SearchTable, objective: str, paths: Sequence[PathParams] | None
+) -> AllocationResult:
+    """``blind_allocate`` over a prebuilt table, with arguments already checked."""
     if objective == "eq2":
         scores = _eq2_scores(table)
         best = int(np.argmax(scores))
@@ -400,14 +311,6 @@ def blind_allocate(
         scores = _eq1_penalties(table, paths)  # type: ignore[arg-type]
         best = int(np.argmin(scores))
     return _result(table.schedule(best), float(scores[best]), table.count)
-
-
-def _table_for(plan: SlotPlan, max_schedules: int, table: SearchTable | None) -> SearchTable:
-    if table is None:
-        return SearchTable(plan, max_schedules)
-    if table.plan != plan:
-        raise ValueError("search table was built for another slot plan")
-    return table
 
 
 def _eq2_scores(table: SearchTable) -> np.ndarray:
@@ -473,7 +376,6 @@ def upper_bound_sweep(
     cfg: RttSamplerConfig,
     max_schedules: int = DEFAULT_MAX_SCHEDULES,
     evaluator: ThroughputEvaluator | None = None,
-    table: SearchTable | None = None,
 ) -> list[AllocationResult]:
     """``upper_bound_allocate`` for each entry of ``paths_by_delay``.
 
@@ -491,8 +393,16 @@ def upper_bound_sweep(
             raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
     if evaluator is None:
         evaluator = ThroughputEvaluator(cfg)
-    table = _table_for(plan, max_schedules, table)
+    return _upper_bound_search(SearchTable(plan, max_schedules), paths_by_delay, evaluator)
 
+
+def _upper_bound_search(
+    table: SearchTable,
+    paths_by_delay: Sequence[Sequence[PathParams]],
+    evaluator: ThroughputEvaluator,
+) -> list[AllocationResult]:
+    """``upper_bound_sweep`` over a prebuilt table, with paths already checked."""
+    plan = table.plan
     # sampled[v - 1][id, k]: mean RTT of pattern id on its first row at
     # delay k, NaN where the cache already held the entry
     sampled = []

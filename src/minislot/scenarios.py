@@ -17,9 +17,9 @@ from typing import Sequence
 from .allocation import (
     DEFAULT_MAX_SCHEDULES,
     SearchTable,
-    blind_allocate,
+    _blind_search,
+    _upper_bound_search,
     minmax_allocate,
-    upper_bound_sweep,
 )
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
@@ -293,7 +293,7 @@ def run_scenario(
     if "minmax" in algorithms:
         fixed_schedules["minmax"] = minmax_allocate(plan).schedule
     if "eq2" in algorithms:
-        fixed_schedules["eq2"] = blind_allocate(plan, "eq2", table=table).schedule
+        fixed_schedules["eq2"] = _blind_search(table, "eq2", None).schedule
 
     def evaluate(schedule: SlotSchedule, paths: list[PathParams]):
         rtts = [
@@ -317,7 +317,7 @@ def run_scenario(
                 if alg in fixed_schedules:
                     schedule = fixed_schedules[alg]
                 elif alg == "eq1":
-                    schedule = blind_allocate(plan, "eq1", paths=paths, table=table).schedule
+                    schedule = _blind_search(table, "eq1", paths).schedule
                 else:
                     schedule = upper[k]
                 per_alg[k][alg] = evaluate(schedule, paths)
@@ -330,9 +330,8 @@ def run_scenario(
     evaluate_rows(("nopolicy",) + algorithms[:cut])
     if cut < len(algorithms):
         upper = [
-            result.schedule for result in upper_bound_sweep(
-                plan, paths_by_delay, scenario.sampler, evaluator=evaluator, table=table,
-            )
+            result.schedule
+            for result in _upper_bound_search(table, paths_by_delay, evaluator)
         ]
         evaluate_rows(algorithms[cut:])
 

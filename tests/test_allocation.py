@@ -1,10 +1,8 @@
 import math
 from itertools import islice
 
-import numpy as np
 import pytest
 
-from minislot import allocation
 from minislot.allocation import (
     EnumerationBudgetError,
     SearchTable,
@@ -293,25 +291,10 @@ class TestSearchTable:
             # distinct ids have distinct keys
             assert len(set(table.keys[v])) == len(table.keys[v])
 
-    def test_blocks_do_not_change_the_table(self, monkeypatch, case3_plan):
-        whole = SearchTable(case3_plan)
-        monkeypatch.setattr(allocation, "TABLE_BLOCK", 7)
-        blocked = SearchTable(case3_plan)
-        np.testing.assert_array_equal(blocked.owners, whole.owners)
-        np.testing.assert_array_equal(blocked.worst, whole.worst)
-        for v in range(case3_plan.n_vstas):
-            assert [blocked.keys[v][p] for p in blocked.pattern[:, v]] == [
-                whole.keys[v][p] for p in whole.pattern[:, v]
-            ]
-
     def test_budget_enforced(self, case1_plan):
         with pytest.raises(EnumerationBudgetError) as exc_info:
             SearchTable(case1_plan, max_schedules=1679)
         assert exc_info.value.count == 1680
-
-    def test_table_of_another_plan_rejected(self, case2_plan, case3_plan):
-        with pytest.raises(ValueError, match="another slot plan"):
-            blind_allocate(case2_plan, "eq2", table=SearchTable(case3_plan))
 
 
 class TestTableSearchMatchesBruteForce:
