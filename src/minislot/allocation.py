@@ -33,6 +33,7 @@ from .rttmodel import (
     ThroughputEvaluator,
     _pattern_key,
     mathis_throughput,
+    vsta_throughput,
 )
 from .schedule import SlotPlan, SlotSchedule, max_disconnection
 
@@ -436,10 +437,7 @@ def _upper_bound_search(
                     # the pattern's first row stopped at an earlier VSTA
                     mean = evaluator.mean_rtt(table.schedule(first), v, path.delay_ms)
                 means[pid] = mean
-                throughputs[pid] = (
-                    math.inf if mean <= 0.0
-                    else mathis_throughput(path.mss_bytes, mean, path.loss_rate)
-                )
+                throughputs[pid] = vsta_throughput(path, mean)
             scores += throughputs[ids]
             live &= (means > 0.0)[ids]
         best = int(np.argmax(scores))

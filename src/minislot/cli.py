@@ -11,12 +11,7 @@ import argparse
 import os
 import sys
 
-from .allocation import (
-    DEFAULT_MAX_SCHEDULES,
-    EnumerationBudgetError,
-    blind_allocate,
-    minmax_allocate,
-)
+from .allocation import DEFAULT_MAX_SCHEDULES, EnumerationBudgetError
 from .scenarios import (
     ALGORITHMS,
     ConfigError,
@@ -28,7 +23,6 @@ from .scenarios import (
     run_scenario,
     schedule_records,
 )
-from .schedule import build_contiguous_schedule, derive_slot_plan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,41 +79,34 @@ def _resolve_scenarios(args) -> list[Scenario]:
     ]
 
 
-def _dump_schedules(scenarios: list[Scenario], path: str, max_schedules: int) -> None:
-    chunks = []
-    for scenario in scenarios:
-        plan = derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
-        for alg in scenario.algorithms:
-            if alg == "nopolicy":
-                schedule = build_contiguous_schedule(plan)
-            elif alg == "minmax":
-                schedule = minmax_allocate(plan).schedule
-            elif alg == "eq2":
-                schedule = blind_allocate(plan, "eq2", max_schedules=max_schedules).schedule
-            else:
-                # eq1 and upperbound schedules depend on the swept delay
-                continue
-            chunks.append(f"# scenario={scenario.name} algorithm={alg}\n")
-            chunks.append(schedule_records(schedule))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(chunks))
+def _schedule_dump(scenario: Scenario, schedules: dict) -> str:
+    """The listed delay-independent schedules of one run, in listed order."""
+    return "".join(
+        f"# scenario={scenario.name} algorithm={alg}\n" + schedule_records(schedules[alg])
+        for alg in scenario.algorithms
+        if alg in schedules
+    )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenarios = _resolve_scenarios(args)
-        rows = []
+        rows, dump = [], []
         for scenario in scenarios:
-            rows.extend(run_scenario(scenario, max_schedules=args.max_schedules))
-        if args.dump_schedules:
-            _dump_schedules(scenarios, args.dump_schedules, args.max_schedules)
+            run = run_scenario(scenario, max_schedules=args.max_schedules)
+            rows.extend(run)
+            if args.dump_schedules:
+                dump.append(_schedule_dump(scenario, run.schedules))
     except ConfigError as exc:
         print(f"minislot: configuration error: {exc}", file=sys.stderr)
         return 2
     except EnumerationBudgetError as exc:
         print(f"minislot: {exc}", file=sys.stderr)
         return 3
+    if args.dump_schedules:
+        with open(args.dump_schedules, "w", encoding="utf-8") as fh:
+            fh.write("".join(dump))
     text = emit_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

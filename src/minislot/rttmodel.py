@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import rtt_samples, send_times
-from .schedule import SlotSchedule, _check_vsta, max_disconnection
+from .schedule import SlotSchedule, _check_vsta
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
@@ -84,6 +84,8 @@ class RttSamplerConfig:
             raise ValueError(
                 f"mean_fraction must be in (0, 1], got {self.mean_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -221,35 +223,21 @@ def mathis_throughput(mss_bytes: int, rtt_ms: float, loss_rate: float) -> float:
     return (mss_bytes * 8.0) / ((rtt_ms / 1000.0) * math.sqrt(loss_rate))
 
 
-def worst_case_rtt(schedule: SlotSchedule, vsta: int, delay_ms: float) -> float:
-    """Blind upper bound: wired delay plus the worst disconnection gap."""
-    return delay_ms + max_disconnection(schedule, vsta)
+def vsta_throughput(path: PathParams, mean_rtt_ms: float) -> float:
+    """Model throughput (bit/s) of one VSTA from its mean RTT.
+
+    A zero mean RTT (delay 0 and an ack that always lands connected)
+    maps to infinite throughput instead of an error, so delay sweeps
+    may start at 0.
+    """
+    if mean_rtt_ms <= 0.0:
+        return math.inf
+    return mathis_throughput(path.mss_bytes, mean_rtt_ms, path.loss_rate)
 
 
 def vsta_seed(base_seed: int, vsta: int) -> int:
     """Per-VSTA seed stream derived from the experiment seed."""
     return base_seed ^ vsta
-
-
-def aggregate_throughput(
-    schedule: SlotSchedule, paths: Sequence[PathParams], cfg: RttSamplerConfig
-) -> float:
-    """Sum of per-VSTA model throughputs (bit/s) under ``schedule``.
-
-    Each VSTA samples from its own derived seed, so the result is
-    deterministic for a fixed experiment seed regardless of evaluation
-    order.
-    """
-    if len(paths) != schedule.n_vstas:
-        raise ValueError(
-            f"expected {schedule.n_vstas} paths, got {len(paths)}"
-        )
-    total = 0.0
-    for vsta, path in enumerate(paths, start=1):
-        per_vsta = replace(cfg, seed=vsta_seed(cfg.seed, vsta))
-        stats = sample_rtts(schedule, vsta, path, per_vsta)
-        total += mathis_throughput(path.mss_bytes, stats.mean_ms, path.loss_rate)
-    return total
 
 
 class ThroughputEvaluator:
@@ -264,9 +252,11 @@ class ThroughputEvaluator:
     share a pattern place their windows at other start times, so their
     own sampled means may differ from the cached one by an ulp or two:
     what a schedule reads depends on which schedule filled the entry.
-    ``run_scenario`` therefore fixes the fill order at each delay: the
-    rows listed before ``upperbound`` first, then the upper-bound
-    search in lexicographic order of the owner vectors.
+    ``run_scenario`` therefore fills the cache algorithm by algorithm:
+    the nopolicy baseline first, then the requested algorithms in the
+    order they are listed, each at every swept delay.  The upper-bound
+    search fills its entries in lexicographic order of the owner
+    vectors.
     """
 
     def __init__(self, cfg: RttSamplerConfig):
@@ -302,15 +292,19 @@ class ThroughputEvaluator:
         return replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
 
     def aggregate(self, schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
-        # Unlike aggregate_throughput, a zero mean RTT (delay 0 and an
-        # always-hit connected landing) maps to infinite throughput
-        # instead of an error, so delay sweeps may start at 0.
+        """Sum of ``vsta_throughput`` over the VSTAs, in order.
+
+        The first infinite term ends the sum, so later VSTAs are not
+        sampled.
+        """
+        if len(paths) != schedule.n_vstas:
+            raise ValueError(f"expected {schedule.n_vstas} paths, got {len(paths)}")
         total = 0.0
         for vsta, path in enumerate(paths, start=1):
-            mean_rtt = self.mean_rtt(schedule, vsta, path.delay_ms)
-            if mean_rtt <= 0.0:
-                return math.inf
-            total += mathis_throughput(path.mss_bytes, mean_rtt, path.loss_rate)
+            throughput = vsta_throughput(path, self.mean_rtt(schedule, vsta, path.delay_ms))
+            if math.isinf(throughput):
+                return throughput
+            total += throughput
         return total
 
 

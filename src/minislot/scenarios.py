@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .allocation import (
     DEFAULT_MAX_SCHEDULES,
@@ -24,14 +25,13 @@ from .allocation import (
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
     DEFAULT_MSS_BYTES,
+    MAX_LOSS_RATE,
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
-    mathis_throughput,
+    vsta_throughput,
 )
 from .schedule import DutyCycleSet, SlotSchedule, build_contiguous_schedule, derive_slot_plan
-
-ALGORITHMS = ("nopolicy", "minmax", "eq1", "eq2", "upperbound")
 
 CSV_HEADER = (
     "scenario,algorithm,base_delay_ms,vsta,mean_rtt_ms,"
@@ -77,6 +77,22 @@ class Scenario:
                 )
         if not self.algorithms:
             raise ConfigError("algorithms: at least one algorithm required")
+        # chained comparisons are false for NaN
+        if not 0.0 < self.slot_time_ms < math.inf:
+            raise ConfigError(
+                f"slot_time_ms: expected a positive finite time, got {self.slot_time_ms}"
+            )
+        for delay in self.delays_ms:
+            if not 0.0 <= delay < math.inf:
+                raise ConfigError(f"delays_ms: expected finite delays >= 0, got {delay}")
+        for off in self.offsets():
+            if not 0.0 <= min(self.delays_ms) + off < math.inf:
+                raise ConfigError(f"delay_offsets_ms: offset {off} gives an invalid path delay")
+        for p in self.losses():
+            if not 0.0 < p < MAX_LOSS_RATE:
+                raise ConfigError(f"loss_rate: expected rates in (0, {MAX_LOSS_RATE}), got {p}")
+        if self.mss_bytes <= 0:
+            raise ConfigError(f"mss_bytes: expected a positive size, got {self.mss_bytes}")
 
     def offsets(self) -> tuple[float, ...]:
         if self.delay_offsets_ms:
@@ -110,6 +126,20 @@ _CONFIG_KEYS = {
 }
 
 
+def _number(key: str, value, kind: type | tuple[type, ...] = (int, float)):
+    """``value`` if it is a JSON number of ``kind``; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return value
+
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
+    return tuple(float(_number(key, x)) for x in value)
+
+
 def expand_delays(sweep) -> tuple[float, ...]:
     """A sweep is either an explicit list or {start, stop, step} (stop inclusive)."""
     if isinstance(sweep, dict):
@@ -117,9 +147,13 @@ def expand_delays(sweep) -> tuple[float, ...]:
         if unknown:
             raise ConfigError(f"delays_ms: unknown sweep keys {sorted(unknown)}")
         try:
-            start, stop, step = float(sweep["start"]), float(sweep["stop"]), float(sweep["step"])
+            start, stop, step = (
+                float(_number("delays_ms", sweep[k])) for k in ("start", "stop", "step")
+            )
         except KeyError as exc:
             raise ConfigError(f"delays_ms: sweep misses key {exc}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError("delays_ms: sweep start, stop and step must be finite")
         if step <= 0:
             raise ConfigError("delays_ms: sweep step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -127,7 +161,7 @@ def expand_delays(sweep) -> tuple[float, ...]:
             raise ConfigError("delays_ms: empty sweep range")
         return tuple(start + k * step for k in range(n))
     if isinstance(sweep, (list, tuple)):
-        return tuple(float(d) for d in sweep)
+        return _numbers("delays_ms", sweep)
     raise ConfigError("delays_ms: expected a list or a start/stop/step mapping")
 
 
@@ -135,50 +169,48 @@ def scenario_from_config(config: dict, name: str = "custom") -> Scenario:
     """Build a scenario from a flat configuration mapping.
 
     Unknown keys are errors: a silent typo would corrupt an experiment.
+    So are values of the wrong JSON type, which are never coerced.
     """
     if not isinstance(config, dict):
         raise ConfigError("scenario config must be a mapping")
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    for key in ("duty_cycles", "slot_time_ms", "delays_ms"):
+        if key not in config:
+            raise ConfigError(f"{key}: field is required")
+    fractions = _numbers("duty_cycles", config["duty_cycles"])
     try:
-        duty = DutyCycleSet(config["duty_cycles"])
-    except KeyError:
-        raise ConfigError("duty_cycles: field is required") from None
+        duty = DutyCycleSet(fractions)
     except ValueError as exc:
         raise ConfigError(f"duty_cycles: {exc}") from exc
-    if "slot_time_ms" not in config:
-        raise ConfigError("slot_time_ms: field is required")
-    if "delays_ms" not in config:
-        raise ConfigError("delays_ms: field is required")
     loss = config.get("loss_rate", DEFAULT_LOSS_RATE)
-    loss_rates = tuple(float(p) for p in loss) if isinstance(loss, (list, tuple)) else (
-        (float(loss),) * duty.n_vstas
+    loss_rates = _numbers("loss_rate", loss) if isinstance(loss, (list, tuple)) else (
+        (float(_number("loss_rate", loss)),) * duty.n_vstas
     )
+    algorithms = config.get("algorithms", ("nopolicy", "minmax"))
+    if not (isinstance(algorithms, (list, tuple)) and all(isinstance(a, str) for a in algorithms)):
+        raise ConfigError(f"algorithms: expected a list of names, got {algorithms!r}")
+    n_samples = _number("n_samples", config.get("n_samples", RttSamplerConfig.n_samples), int)
+    mean_fraction = _number(
+        "mean_fraction", config.get("mean_fraction", RttSamplerConfig.mean_fraction)
+    )
+    seed = _number("seed", config.get("seed", DEFAULT_SEED), int)
     try:
-        sampler = RttSamplerConfig(
-            n_samples=int(config.get("n_samples", RttSamplerConfig.n_samples)),
-            mean_fraction=float(config.get("mean_fraction", RttSamplerConfig.mean_fraction)),
-            seed=int(config.get("seed", DEFAULT_SEED)),
-        )
+        sampler = RttSamplerConfig(n_samples, float(mean_fraction), seed)
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
-    try:
-        return Scenario(
-            name=str(config.get("name", name)),
-            duty_cycles=duty,
-            slot_time_ms=float(config["slot_time_ms"]),
-            delays_ms=expand_delays(config["delays_ms"]),
-            delay_offsets_ms=tuple(float(x) for x in config.get("delay_offsets_ms", ())),
-            loss_rates=loss_rates,
-            mss_bytes=int(config.get("mss_bytes", DEFAULT_MSS_BYTES)),
-            sampler=sampler,
-            algorithms=tuple(config.get("algorithms", ("nopolicy", "minmax"))),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return Scenario(
+        name=str(config.get("name", name)),
+        duty_cycles=duty,
+        slot_time_ms=float(_number("slot_time_ms", config["slot_time_ms"])),
+        delays_ms=expand_delays(config["delays_ms"]),
+        delay_offsets_ms=_numbers("delay_offsets_ms", config.get("delay_offsets_ms", ())),
+        loss_rates=loss_rates,
+        mss_bytes=_number("mss_bytes", config.get("mss_bytes", DEFAULT_MSS_BYTES), int),
+        sampler=sampler,
+        algorithms=tuple(algorithms),
+    )
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -190,33 +222,26 @@ def load_scenario_file(path: str) -> Scenario:
     return scenario_from_config(config, name=path)
 
 
+# built-in case -> (duty cycles, minimum slot time in ms, per-VSTA delay offsets)
+_CASES = {
+    "case1": ((0.5, 0.125, 0.125, 0.125, 0.125), 15.0, ()),
+    "case2": ((0.5, 0.125, 0.375), 12.5, (0.0, 20.0, 40.0)),
+    "case3": ((0.65, 0.25, 0.10), 10.0, ()),
+}
+
+
 def builtin_scenarios(name: str, seed: int = DEFAULT_SEED) -> list[Scenario]:
     """Preloaded scenario families; ``fig5`` expands to one scenario
     per disconnection time of the single-AP validation sweep."""
     sampler = RttSamplerConfig(seed=seed)
-    if name == "case1":
+    if name in _CASES:
+        duties, slot_time, offsets = _CASES[name]
         return [Scenario(
-            name="case1",
-            duty_cycles=DutyCycleSet([0.5, 0.125, 0.125, 0.125, 0.125]),
-            slot_time_ms=15.0,
+            name=name,
+            duty_cycles=DutyCycleSet(duties),
+            slot_time_ms=slot_time,
             delays_ms=DEFAULT_SWEEP,
-            sampler=sampler,
-        )]
-    if name == "case2":
-        return [Scenario(
-            name="case2",
-            duty_cycles=DutyCycleSet([0.5, 0.125, 0.375]),
-            slot_time_ms=12.5,
-            delays_ms=DEFAULT_SWEEP,
-            delay_offsets_ms=(0.0, 20.0, 40.0),
-            sampler=sampler,
-        )]
-    if name == "case3":
-        return [Scenario(
-            name="case3",
-            duty_cycles=DutyCycleSet([0.65, 0.25, 0.10]),
-            slot_time_ms=10.0,
-            delays_ms=DEFAULT_SWEEP,
+            delay_offsets_ms=offsets,
             sampler=sampler,
         )]
     if name == "fig5":
@@ -257,14 +282,6 @@ class ResultRow:
     seed: int
 
 
-def _safe_throughput(mss: int, rtt_ms: float, loss: float) -> float:
-    # a zero-delay sweep point can produce a zero mean RTT; report
-    # unbounded model throughput rather than refusing the row
-    if rtt_ms <= 0.0:
-        return math.inf
-    return mathis_throughput(mss, rtt_ms, loss)
-
-
 def _ratio(value: float, baseline: float) -> float:
     if value == baseline:
         return 1.0
@@ -273,99 +290,106 @@ def _ratio(value: float, baseline: float) -> float:
     return value / baseline
 
 
+class _Sweep:
+    """What the schedulers of one ``run_scenario`` call share."""
+
+    def __init__(self, scenario: Scenario, max_schedules: int):
+        self.plan = derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
+        self.paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
+        self.evaluator = ThroughputEvaluator(scenario.sampler)
+        self.max_schedules = max_schedules
+
+    @cached_property
+    def table(self) -> SearchTable:
+        """Every feasible owner vector, enumerated once, on first use."""
+        return SearchTable(self.plan, self.max_schedules)
+
+
+# Algorithm name -> scheduler, called with the run's ``_Sweep``.  A
+# scheduler returns the algorithm's schedule, or one schedule per swept delay
+# when the schedule depends on the delay.  Schedulers name the allocators when
+# they run, so rebinding a module attribute (as the perfbench tracer does)
+# reaches every call.
+_SCHEDULERS: dict[str, Callable[[_Sweep], SlotSchedule | list[SlotSchedule]]] = {
+    "nopolicy": lambda sweep: build_contiguous_schedule(sweep.plan),
+    "minmax": lambda sweep: minmax_allocate(sweep.plan).schedule,
+    "eq1": lambda sweep: [
+        _blind_search(sweep.table, "eq1", paths).schedule for paths in sweep.paths_by_delay
+    ],
+    "eq2": lambda sweep: _blind_search(sweep.table, "eq2", None).schedule,
+    "upperbound": lambda sweep: [
+        result.schedule
+        for result in _upper_bound_search(sweep.table, sweep.paths_by_delay, sweep.evaluator)
+    ],
+}
+ALGORITHMS = tuple(_SCHEDULERS)
+
+
+class ScenarioRun(list):
+    """The rows of a scenario sweep, with the schedules behind them.
+
+    ``schedules`` maps each delay-independent algorithm that was built,
+    the nopolicy baseline included, to its schedule.
+    """
+
+    def __init__(self, rows: list[ResultRow], schedules: dict[str, SlotSchedule]):
+        super().__init__(rows)
+        self.schedules = schedules
+
+
 def run_scenario(
     scenario: Scenario, max_schedules: int = DEFAULT_MAX_SCHEDULES
-) -> list[ResultRow]:
-    """Full sweep of a scenario; fully deterministic given the seed."""
-    plan = derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
-    evaluator = ThroughputEvaluator(scenario.sampler)
-    seed = scenario.sampler.seed
-    n = plan.n_vstas
-    algorithms = scenario.algorithms
-    paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
-    table = None
-    if {"eq1", "eq2", "upperbound"} & set(algorithms):
-        table = SearchTable(plan, max_schedules)
+) -> ScenarioRun:
+    """Full sweep of a scenario; fully deterministic given the seed.
 
-    fixed_schedules: dict[str, SlotSchedule] = {
-        "nopolicy": build_contiguous_schedule(plan),
-    }
-    if "minmax" in algorithms:
-        fixed_schedules["minmax"] = minmax_allocate(plan).schedule
-    if "eq2" in algorithms:
-        fixed_schedules["eq2"] = _blind_search(table, "eq2", None).schedule
+    The nopolicy baseline and then each listed algorithm is built and
+    evaluated at every swept delay in turn.  The evaluator keeps the
+    first mean it computes for each (VSTA, delay, pattern), so this
+    order decides the last bits of the rows.
+    """
+    sweep = _Sweep(scenario, max_schedules)
+    n = sweep.plan.n_vstas
+    seed = scenario.sampler.seed
 
     def evaluate(schedule: SlotSchedule, paths: list[PathParams]):
         rtts = [
-            evaluator.mean_rtt(schedule, v, paths[v - 1].delay_ms)
-            for v in range(1, n + 1)
+            sweep.evaluator.mean_rtt(schedule, v, path.delay_ms)
+            for v, path in enumerate(paths, start=1)
         ]
-        ths = [
-            _safe_throughput(paths[v - 1].mss_bytes, rtts[v - 1], paths[v - 1].loss_rate)
-            for v in range(1, n + 1)
-        ]
+        ths = [vsta_throughput(path, rtt) for path, rtt in zip(paths, rtts)]
         return rtts, ths, math.fsum(ths)
 
-    per_alg: list[dict] = [{} for _ in paths_by_delay]
-    upper: list[SlotSchedule] = []
-
-    def evaluate_rows(algs: Sequence[str]) -> None:
-        for k, paths in enumerate(paths_by_delay):
-            for alg in algs:
-                if alg in per_alg[k]:
-                    continue
-                if alg in fixed_schedules:
-                    schedule = fixed_schedules[alg]
-                elif alg == "eq1":
-                    schedule = _blind_search(table, "eq1", paths).schedule
-                else:
-                    schedule = upper[k]
-                per_alg[k][alg] = evaluate(schedule, paths)
-
-    # The evaluator keeps the first mean it computes for each (VSTA,
-    # delay, pattern), so the order of evaluation decides the last bits:
-    # at each delay the baseline and the rows listed before upperbound,
-    # then the search, then the rest.
-    cut = algorithms.index("upperbound") if "upperbound" in algorithms else len(algorithms)
-    evaluate_rows(("nopolicy",) + algorithms[:cut])
-    if cut < len(algorithms):
-        upper = [
-            result.schedule
-            for result in _upper_bound_search(table, paths_by_delay, evaluator)
-        ]
-        evaluate_rows(algorithms[cut:])
+    schedules: dict[str, SlotSchedule] = {}
+    # results[alg][k]: (per-VSTA mean RTTs, throughputs, aggregate) at delay k
+    results: dict[str, list] = {}
+    for alg in ("nopolicy",) + scenario.algorithms:
+        if alg in results:
+            continue
+        built = _SCHEDULERS[alg](sweep)
+        if isinstance(built, SlotSchedule):
+            schedules[alg] = built
+            built = [built] * len(sweep.paths_by_delay)
+        results[alg] = [evaluate(s, paths) for s, paths in zip(built, sweep.paths_by_delay)]
 
     rows: list[ResultRow] = []
-    for base_delay, results in zip(scenario.delays_ms, per_alg):
-        base_rtts, base_ths, base_agg = results["nopolicy"]
-        for alg in algorithms:
-            rtts, ths, agg = results[alg]
-            agg_ratio = 1.0 if alg == "nopolicy" else _ratio(agg, base_agg)
-            for v in range(1, n + 1):
-                v_ratio = 1.0 if alg == "nopolicy" else _ratio(ths[v - 1], base_ths[v - 1])
+    for k, base_delay in enumerate(scenario.delays_ms):
+        _, base_ths, base_agg = results["nopolicy"][k]
+        for alg in scenario.algorithms:
+            rtts, ths, agg = results[alg][k]
+            # one row per VSTA, then the aggregate row; _ratio of equal
+            # values is 1, so every nopolicy row has ratio 1
+            cells = [
+                (str(v), rtts[v - 1], ths[v - 1], _ratio(ths[v - 1], base_ths[v - 1]))
+                for v in range(1, n + 1)
+            ]
+            cells.append(("all", None, None, _ratio(agg, base_agg)))
+            for vsta, rtt, th, ratio in cells:
                 rows.append(ResultRow(
-                    scenario=scenario.name,
-                    algorithm=alg,
-                    base_delay_ms=base_delay,
-                    vsta=str(v),
-                    mean_rtt_ms=rtts[v - 1],
-                    throughput_bps=ths[v - 1],
-                    aggregate_bps=agg,
-                    ratio_vs_nopolicy=v_ratio,
-                    seed=seed,
+                    scenario=scenario.name, algorithm=alg, base_delay_ms=base_delay, vsta=vsta,
+                    mean_rtt_ms=rtt, throughput_bps=th, aggregate_bps=agg,
+                    ratio_vs_nopolicy=ratio, seed=seed,
                 ))
-            rows.append(ResultRow(
-                scenario=scenario.name,
-                algorithm=alg,
-                base_delay_ms=base_delay,
-                vsta="all",
-                mean_rtt_ms=None,
-                throughput_bps=None,
-                aggregate_bps=agg,
-                ratio_vs_nopolicy=agg_ratio,
-                seed=seed,
-            ))
-    return rows
+    return ScenarioRun(rows, schedules)
 
 
 def _fmt(value: float | None) -> str:
@@ -418,13 +442,13 @@ def apply_overrides(
     mean_fraction: float | None = None,
 ) -> Scenario:
     """Scenario with CLI-level overrides applied."""
-    sampler = scenario.sampler
-    if seed is not None:
-        sampler = replace(sampler, seed=seed)
-    if n_samples is not None:
-        sampler = replace(sampler, n_samples=n_samples)
-    if mean_fraction is not None:
-        sampler = replace(sampler, mean_fraction=mean_fraction)
+    overrides = {"seed": seed, "n_samples": n_samples, "mean_fraction": mean_fraction}
+    try:
+        sampler = replace(
+            scenario.sampler, **{k: v for k, v in overrides.items() if v is not None}
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
     return replace(
         scenario,
         sampler=sampler,

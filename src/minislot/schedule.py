@@ -36,7 +36,7 @@ class DutyCycleSet:
         fracs = tuple(float(f) for f in fractions)
         if len(fracs) < 1:
             raise ValueError("duty-cycle set needs at least one VSTA")
-        if any(f <= 0.0 for f in fracs):
+        if any(not f > 0.0 for f in fracs):  # NaN is not positive either
             raise ValueError(f"duty cycles must be positive, got {fracs}")
         total = math.fsum(fracs)
         if abs(total - 1.0) > DUTY_SUM_TOLERANCE:

@@ -16,16 +16,9 @@ from minislot.allocation import (
     eq2_objective,
     minmax_allocate,
     schedule_count,
-    upper_bound_sweep,
 )
-from minislot.rttmodel import (
-    PathParams,
-    RttSamplerConfig,
-    ThroughputEvaluator,
-    sample_rtts,
-    vsta_seed,
-)
-from minislot.scenarios import DEFAULT_SEED, DEFAULT_SWEEP, builtin_scenarios
+from minislot.rttmodel import PathParams, RttSamplerConfig, sample_rtts, vsta_seed
+from minislot.scenarios import DEFAULT_SEED, DEFAULT_SWEEP, builtin_scenarios, run_scenario
 from minislot.schedule import (
     DutyCycleSet,
     SlotSchedule,
@@ -36,6 +29,7 @@ from minislot.schedule import (
 )
 
 CASES = ("case1", "case2", "case3")
+SWEPT = ("nopolicy", "minmax", "eq2", "upperbound")
 
 
 def report(num, name, ok, detail=""):
@@ -49,37 +43,24 @@ def report(num, name, ok, detail=""):
 def sweeps():
     """Aggregate throughput sweeps shared by criteria 5-7.
 
-    For each case and swept delay: aggregates of the contiguous
-    baseline, the min-max heuristic, the exhaustive eq2 optimum and the
-    exhaustive Monte-Carlo upper bound, all under one seed.  The three
-    fixed schedules are evaluated at every delay before the upper-bound
-    sweep, the order in which ``run_scenario`` fills the evaluator.
+    For each case and swept delay: the ``vsta == "all"`` rows of
+    ``run_scenario`` for the contiguous baseline, the min-max heuristic,
+    the exhaustive eq2 optimum and the exhaustive Monte-Carlo upper
+    bound, all under one seed, plus the eq2 objective of the min-max
+    and exhaustive schedules.
     """
     data = {}
     for case in CASES:
         (scenario,) = builtin_scenarios(case)
-        plan = derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
-        evaluator = ThroughputEvaluator(scenario.sampler)
-        nopolicy = build_contiguous_schedule(plan)
-        heuristic = minmax_allocate(plan)
-        exhaustive = blind_allocate(plan, "eq2")
-        paths_by_delay = [scenario.paths_at(delay) for delay in scenario.delays_ms]
-        rows = []
-        for delay, paths in zip(scenario.delays_ms, paths_by_delay):
-            rows.append({
-                "delay": delay,
-                "nopolicy": evaluator.aggregate(nopolicy, paths),
-                "minmax": evaluator.aggregate(heuristic.schedule, paths),
-                "eq2": evaluator.aggregate(exhaustive.schedule, paths),
-            })
-        upper = upper_bound_sweep(plan, paths_by_delay, scenario.sampler, evaluator=evaluator)
-        for row, result in zip(rows, upper):
-            row["upperbound"] = result.objective_value
+        run = run_scenario(replace(scenario, algorithms=SWEPT))
+        rows = {}
+        for row in run:
+            if row.vsta == "all":
+                at_delay = rows.setdefault(row.base_delay_ms, {"delay": row.base_delay_ms})
+                at_delay[row.algorithm] = row.aggregate_bps
         data[case] = {
-            "plan": plan,
-            "minmax": heuristic,
-            "eq2": exhaustive,
-            "rows": rows,
+            "objective": {alg: eq2_objective(run.schedules[alg]) for alg in ("minmax", "eq2")},
+            "rows": list(rows.values()),
         }
     return data
 
@@ -142,10 +123,8 @@ def test_criterion_5_heuristic_matches_exhaustive(sweeps):
     worst_at = None
     for case in CASES:
         data = sweeps[case]
-        worst_obj_gap = max(
-            worst_obj_gap,
-            abs(data["minmax"].objective_value - data["eq2"].objective_value),
-        )
+        objective = data["objective"]
+        worst_obj_gap = max(worst_obj_gap, abs(objective["minmax"] - objective["eq2"]))
         for row in data["rows"]:
             a, b = row["minmax"], row["eq2"]
             if math.isinf(a) and math.isinf(b):

@@ -11,13 +11,12 @@ from minislot.rttmodel import (
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
-    aggregate_throughput,
     connected_intervals,
     mathis_throughput,
     rtt_for_send_time,
     sample_rtts,
     vsta_seed,
-    worst_case_rtt,
+    vsta_throughput,
 )
 from minislot.schedule import (
     DutyCycleSet,
@@ -171,7 +170,7 @@ class TestSampleRtts:
             sample_rtts(schedule.rotated(k), vsta, path, self.CFG).mean_ms
             for k in range(schedule.n_slots)
         ]
-        spread = worst_case_rtt(schedule, vsta, delay) - delay
+        spread = max_disconnection(schedule, vsta)
         assert max(means) - min(means) <= 4.0 * spread / math.sqrt(self.CFG.n_samples)
 
 
@@ -213,27 +212,32 @@ class TestPathParams:
             PathParams(delay_ms=-1.0)
 
 
+class TestVstaThroughput:
+    def test_positive_rtt_is_mathis(self):
+        path = PathParams(delay_ms=0.0, loss_rate=0.001, mss_bytes=1000)
+        assert vsta_throughput(path, 40.0) == mathis_throughput(1000, 40.0, 0.001)
+
+    def test_zero_rtt_is_unbounded(self):
+        assert vsta_throughput(PathParams(delay_ms=0.0), 0.0) == math.inf
+
+
 class TestAggregateThroughput:
     CFG = RttSamplerConfig(n_samples=2000, seed=11)
 
     def test_deterministic(self, half_duty_schedule):
         paths = [PathParams(delay_ms=40.0), PathParams(delay_ms=60.0)]
-        a = aggregate_throughput(half_duty_schedule, paths, self.CFG)
-        b = aggregate_throughput(half_duty_schedule, paths, self.CFG)
+        a = ThroughputEvaluator(self.CFG).aggregate(half_duty_schedule, paths)
+        b = ThroughputEvaluator(self.CFG).aggregate(half_duty_schedule, paths)
         assert a == b
 
     def test_path_count_checked(self, half_duty_schedule):
+        evaluator = ThroughputEvaluator(self.CFG)
         with pytest.raises(ValueError, match="paths"):
-            aggregate_throughput(half_duty_schedule, [PathParams(delay_ms=40.0)], self.CFG)
+            evaluator.aggregate(half_duty_schedule, [PathParams(delay_ms=40.0)])
 
     def test_per_vsta_seed_streams_differ(self):
         assert vsta_seed(12345, 1) != vsta_seed(12345, 2)
         assert vsta_seed(12345, 1) == 12345 ^ 1
-
-
-class TestWorstCaseRtt:
-    def test_matches_delay_plus_gap(self, case2_contiguous):
-        assert worst_case_rtt(case2_contiguous, 2, 30.0) == pytest.approx(30.0 + 87.5)
 
 
 class TestThroughputEvaluator:
@@ -251,10 +255,12 @@ class TestThroughputEvaluator:
     def test_aggregate_matches_direct(self, case2_contiguous):
         evaluator = ThroughputEvaluator(self.CFG)
         paths = [PathParams(delay_ms=d) for d in (20.0, 40.0, 60.0)]
-        direct = aggregate_throughput(case2_contiguous, paths, self.CFG)
-        assert evaluator.aggregate(case2_contiguous, paths) == pytest.approx(
-            direct, rel=1e-12
-        )
+        direct = 0.0
+        for vsta, path in enumerate(paths, start=1):
+            per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, vsta))
+            mean = sample_rtts(case2_contiguous, vsta, path, per_vsta).mean_ms
+            direct += mathis_throughput(path.mss_bytes, mean, path.loss_rate)
+        assert evaluator.aggregate(case2_contiguous, paths) == direct
 
     def test_cache_hits_on_shifted_pattern(self):
         plan = derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5)

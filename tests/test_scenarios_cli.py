@@ -1,8 +1,11 @@
+import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
+from minislot.allocation import SearchTable
 from minislot.cli import main
 from minislot.scenarios import (
     CSV_HEADER,
@@ -16,6 +19,28 @@ from minislot.scenarios import (
     schedule_records,
 )
 from minislot.schedule import DutyCycleSet, build_contiguous_schedule, derive_slot_plan
+
+# (scenario file fields replaced, extra CLI arguments, field the error names)
+BAD_INPUTS = [
+    # wrong JSON types
+    ({"algorithms": "minmax"}, [], "algorithms"),
+    ({"n_samples": 1.9}, [], "n_samples"),
+    ({"loss_rate": "x"}, [], "loss_rate"),
+    ({"delay_offsets_ms": 5}, [], "delay_offsets_ms"),
+    ({"mean_fraction": None}, [], "mean_fraction"),
+    ({"duty_cycles": 5}, [], "duty_cycles"),
+    # out of range
+    ({"slot_time_ms": math.nan}, [], "slot_time_ms"),
+    ({"delays_ms": [-5]}, [], "delays_ms"),
+    ({"delays_ms": {"start": 0, "stop": math.inf, "step": 5}}, [], "delays_ms"),
+    ({"delay_offsets_ms": [-20.0, 0.0]}, [], "delay_offsets_ms"),
+    ({"duty_cycles": [math.nan, 1.0]}, [], "duty_cycles"),
+    ({"loss_rate": 0.5}, [], "loss_rate"),
+    ({"mss_bytes": 0}, [], "mss_bytes"),
+    ({}, ["--samples", "-3"], "n_samples"),
+    ({}, ["--mean-fraction", "2"], "mean_fraction"),
+    ({}, ["--seed", "-1"], "seed"),
+]
 
 SMALL_CONFIG = {
     "name": "small",
@@ -238,6 +263,43 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 3 * 2 * 2
         assert all(line.endswith(",7") for line in lines[1:])
+
+    @pytest.mark.parametrize("fields, argv, field", BAD_INPUTS, ids=[
+        " ".join(argv) or ",".join(f"{k}={v!r}" for k, v in fields.items())
+        for fields, argv, _ in BAD_INPUTS
+    ])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, fields, argv, field):
+        path = self._write_config(tmp_path, dict(SMALL_CONFIG, **fields))
+        assert main(["--scenario", path, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
+
+    @pytest.mark.parametrize("scenario, algorithms, tables, digest", [
+        ("fig5", "nopolicy,minmax,eq2", 5,
+         "fb6900f5956348085d5c440b3d35ea6b323082f661adbb62dfe39c397078e06a"),
+        ("case2", "minmax,eq1,eq2,upperbound", 1,
+         "d78f870c7041b491ede0756a221f4c2ad3f433ce2b77b52266a68eaf761d24f2"),
+    ])
+    def test_dump_reuses_the_run(self, tmp_path, monkeypatch, scenario, algorithms, tables,
+                                 digest):
+        """The dump writes the schedules the run built: one search table per
+        scenario, and the listed delay-independent schedules in listed order
+        (digests recorded when the dump still searched on its own)."""
+        built = []
+        init = SearchTable.__init__
+
+        def counting_init(table, *args, **kwargs):
+            built.append(table)
+            init(table, *args, **kwargs)
+
+        monkeypatch.setattr(SearchTable, "__init__", counting_init)
+        dump = tmp_path / "schedules.txt"
+        assert main([
+            "--scenario", scenario, "--algorithms", algorithms, "--samples", "200",
+            "--out", str(tmp_path / "rows.csv"), "--dump-schedules", str(dump),
+        ]) == 0
+        assert len(built) == tables == len(builtin_scenarios(scenario))
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
     def test_dump_schedules(self, tmp_path):
         path = self._write_config(tmp_path, SMALL_CONFIG)
