@@ -9,8 +9,6 @@ from .allocation import (
     eq2_objective,
     minmax_allocate,
     schedule_count,
-    upper_bound_allocate,
-    upper_bound_sweep,
 )
 from .rttmodel import (
     MathisValidityError,
@@ -78,6 +76,4 @@ __all__ = [
     "scenario_from_config",
     "schedule_count",
     "schedule_records",
-    "upper_bound_allocate",
-    "upper_bound_sweep",
 ]

@@ -11,8 +11,7 @@ Three ways to place the slots of a plan into the period:
   needs per-path delay and loss estimates).
 * ``upper_bound_allocate`` -- exhaustive search scored by the
   Monte-Carlo throughput model; unattainable in practice, used as the
-  comparison ceiling.  ``upper_bound_sweep`` runs it for a whole delay
-  sweep at once.
+  comparison ceiling.
 
 The exhaustive searches score a ``SearchTable``: every feasible owner
 vector with its per-VSTA worst disconnection and RTT pattern, built once
@@ -118,8 +117,7 @@ class SearchTable:
     * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
     * ``worst[s, v - 1]`` -- ``max_disconnection`` of VSTA ``v``;
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
-      ``keys[v - 1][id]`` is its ``_pattern_key`` and ``reps[v - 1][id]``
-      the first row that has it.
+      ``keys[v - 1][id]`` is its ``_pattern_key``.
     """
 
     def __init__(self, plan: SlotPlan, max_schedules: int = DEFAULT_MAX_SCHEDULES):
@@ -137,9 +135,6 @@ class SearchTable:
                 self.worst[s, v - 1] = max_disconnection(schedule, v)
                 self.pattern[s, v - 1] = ids.setdefault(_pattern_key(schedule, v), len(ids))
         self.keys = [list(ids) for ids in interned]
-        self.reps = [
-            np.unique(self.pattern[:, v], return_index=True)[1] for v in range(n)
-        ]
 
     def schedule(self, s: int) -> SlotSchedule:
         """The ``SlotSchedule`` of row ``s``."""
@@ -364,37 +359,13 @@ def upper_bound_allocate(
 
     Scored with a fixed seed so the maximizer is reproducible; ties
     keep the lexicographically smallest owner vector.  Pass a shared
-    ``evaluator`` to reuse RTT statistics across repeated calls; for a
-    whole delay sweep, ``upper_bound_sweep`` is cheaper.
+    ``evaluator`` to reuse RTT statistics across repeated calls.
     """
-    (result,) = upper_bound_sweep(plan, [paths], cfg, max_schedules, evaluator)
-    return result
-
-
-def upper_bound_sweep(
-    plan: SlotPlan,
-    paths_by_delay: Sequence[Sequence[PathParams]],
-    cfg: RttSamplerConfig,
-    max_schedules: int = DEFAULT_MAX_SCHEDULES,
-    evaluator: ThroughputEvaluator | None = None,
-) -> list[AllocationResult]:
-    """``upper_bound_allocate`` for each entry of ``paths_by_delay``.
-
-    Each schedule scores ``evaluator.aggregate``, bit for bit and with
-    the evaluator's cache filled in the same order as one
-    ``upper_bound_allocate`` call per entry would: at each delay, the
-    rows in lexicographic order and each row's VSTAs in order, up to
-    the first VSTA with a zero mean RTT (whose infinite throughput ends
-    the sum).  The work is shared: each VSTA is sampled once per RTT
-    pattern, on the pattern's first row, with one draw of send times for
-    every delay the cache does not already answer.
-    """
-    for paths in paths_by_delay:
-        if len(paths) != plan.n_vstas:
-            raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
+    if len(paths) != plan.n_vstas:
+        raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
     if evaluator is None:
         evaluator = ThroughputEvaluator(cfg)
-    return _upper_bound_search(SearchTable(plan, max_schedules), paths_by_delay, evaluator)
+    return _upper_bound_search(SearchTable(plan, max_schedules), [paths], evaluator)[0]
 
 
 def _upper_bound_search(
@@ -402,44 +373,27 @@ def _upper_bound_search(
     paths_by_delay: Sequence[Sequence[PathParams]],
     evaluator: ThroughputEvaluator,
 ) -> list[AllocationResult]:
-    """``upper_bound_sweep`` over a prebuilt table, with paths already checked."""
-    plan = table.plan
-    # sampled[v - 1][id, k]: mean RTT of pattern id on its first row at
-    # delay k, NaN where the cache already held the entry
-    sampled = []
-    for v in range(1, plan.n_vstas + 1):
-        delays = [paths[v - 1].delay_ms for paths in paths_by_delay]
-        means = np.full((len(table.keys[v - 1]), len(delays)), np.nan)
-        for pid, key in enumerate(table.keys[v - 1]):
-            todo = [k for k, d in enumerate(delays) if evaluator.lookup(v, d, key) is None]
-            if todo:
-                rep = table.schedule(int(table.reps[v - 1][pid]))
-                means[pid, todo] = evaluator.sampled_means(rep, v, [delays[k] for k in todo])
-        sampled.append(means)
+    """``upper_bound_allocate`` over a prebuilt table, for each entry of ``paths_by_delay``.
 
+    Each row scores ``evaluator.aggregate`` bit for bit.  A VSTA's
+    throughput depends on the row only through its window pattern, so
+    it is computed once per (pattern, delay) and gathered into the rows.
+    """
+    # throughputs[v - 1][id, k]: VSTA v's throughput under pattern id at delay k
+    throughputs = []
+    for v, keys in enumerate(table.keys, start=1):
+        paths = [by_vsta[v - 1] for by_vsta in paths_by_delay]
+        delays = [path.delay_ms for path in paths]
+        throughputs.append(np.array([
+            [vsta_throughput(path, mean)
+             for path, mean in zip(paths, evaluator.pattern_means(v, key, delays))]
+            for key in keys
+        ]))
     results = []
-    for k, paths in enumerate(paths_by_delay):
+    for k in range(len(paths_by_delay)):
         scores = np.zeros(table.count)
-        live = np.ones(table.count, bool)  # rows whose sum is still finite
-        for v, path in enumerate(paths, start=1):
-            ids = table.pattern[:, v - 1]
-            rows = np.flatnonzero(live)
-            needed, at = np.unique(ids[rows], return_index=True)
-            means = np.full(len(table.keys[v - 1]), np.nan)
-            throughputs = np.zeros(len(means))
-            for pid, first in zip(needed.tolist(), rows[at].tolist()):
-                key = table.keys[v - 1][pid]
-                mean = evaluator.lookup(v, path.delay_ms, key)
-                if mean is None and first == table.reps[v - 1][pid]:
-                    mean = float(sampled[v - 1][pid, k])
-                    evaluator.remember(v, path.delay_ms, key, mean)
-                elif mean is None:
-                    # the pattern's first row stopped at an earlier VSTA
-                    mean = evaluator.mean_rtt(table.schedule(first), v, path.delay_ms)
-                means[pid] = mean
-                throughputs[pid] = vsta_throughput(path, mean)
-            scores += throughputs[ids]
-            live &= (means > 0.0)[ids]
+        for v, matrix in enumerate(throughputs):
+            scores += matrix[table.pattern[:, v], k]
         best = int(np.argmax(scores))
         results.append(_result(table.schedule(best), float(scores[best]), table.count))
     return results

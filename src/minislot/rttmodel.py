@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -158,8 +158,12 @@ def _wait_until_connected(
 def sample_rtts(
     schedule: SlotSchedule, vsta: int, path: PathParams, cfg: RttSamplerConfig
 ) -> RttStats:
-    """Monte-Carlo RTT summary for ``vsta``; deterministic per seed."""
-    (rtts,) = sweep_rtt_samples(schedule, vsta, (path.delay_ms,), cfg)
+    """Monte-Carlo RTT summary for ``vsta``; deterministic per seed.
+
+    The samples depend on the schedule only through the window pattern
+    of ``vsta`` (see ``sweep_rtt_samples``).
+    """
+    (rtts,) = sweep_rtt_samples(_pattern_key(schedule, vsta), (path.delay_ms,), cfg)
     return RttStats(
         mean_ms=float(rtts.mean()),
         min_ms=float(rtts.min()),
@@ -169,27 +173,29 @@ def sample_rtts(
 
 
 def sweep_rtt_samples(
-    schedule: SlotSchedule, vsta: int, delays_ms: Sequence[float], cfg: RttSamplerConfig
+    pattern: tuple, delays_ms: Sequence[float], cfg: RttSamplerConfig
 ) -> Iterator[np.ndarray]:
-    """Sampled RTTs of ``vsta`` at each delay, from one draw of send times.
+    """Sampled RTTs under a window pattern at each delay, from one draw of send times.
 
-    The send times depend on the seed and the schedule only, so every
-    delay sees the same sends, exactly as separate ``sample_rtts`` calls
-    with the same seed would.
+    ``pattern`` is a ``_pattern_key``.  Its windows are laid out from
+    time 0: each window starts where the previous one's gap ends, and
+    the last gap closes the period.  Every schedule with the pattern
+    thus gets the same samples, and every delay sees the same sends,
+    exactly as separate ``sample_rtts`` calls with the same seed would.
     """
-    intervals = connected_intervals(schedule, vsta)
-    starts = np.array([s for s, _ in intervals])
-    ends = np.array([e for _, e in intervals])
+    # 0, end of window 0, start of window 1, ..., end of the last window, period
+    bounds = np.concatenate(([0.0], np.cumsum(pattern)))
+    starts, ends, period = bounds[:-1:2], bounds[1::2], float(bounds[-1])
     total = float(np.sum(ends - starts))
     rng = np.random.default_rng(cfg.seed)
     raw = rng.exponential(cfg.mean_fraction * total, cfg.n_samples)
-    offsets = _reconnection_anchors(starts, ends, schedule.period_ms, cfg.n_samples)
+    offsets = _reconnection_anchors(starts, ends, period, cfg.n_samples)
     offsets += raw
     # for offsets >= 0, fmod equals % bit for bit and is cheaper
     np.fmod(offsets, total, out=offsets)
     sends = send_times(starts, ends, offsets)
     for delay in delays_ms:
-        yield rtt_samples(starts, ends, sends, delay, schedule.period_ms)
+        yield rtt_samples(starts, ends, sends, delay, period)
 
 
 def _reconnection_anchors(
@@ -241,22 +247,13 @@ def vsta_seed(base_seed: int, vsta: int) -> int:
 
 
 class ThroughputEvaluator:
-    """Caches per-VSTA mean RTTs across schedules that share geometry.
+    """Memo of per-VSTA mean RTTs, keyed on (VSTA, delay, window pattern).
 
-    Two schedules give a VSTA the same RTT statistics, up to rounding,
-    whenever the cyclic pattern of its connected windows and the gaps
-    between them is the same, anchored at the first window of the
-    period.  The cache is keyed on (VSTA, delay, pattern) and keeps the
-    mean of the first schedule evaluated for each key; every later
-    schedule with that pattern reads the same value.  Schedules that
-    share a pattern place their windows at other start times, so their
-    own sampled means may differ from the cached one by an ulp or two:
-    what a schedule reads depends on which schedule filled the entry.
-    ``run_scenario`` therefore fills the cache algorithm by algorithm:
-    the nopolicy baseline first, then the requested algorithms in the
-    order they are listed, each at every swept delay.  The upper-bound
-    search fills its entries in lexicographic order of the owner
-    vectors.
+    A VSTA's sampled RTTs depend on the schedule only through the cyclic
+    pattern of its connected windows and the gaps between them
+    (``_pattern_key``), so every schedule with that pattern reads the
+    same mean, whichever schedule asked first.  The order in which
+    algorithms or search rows are evaluated moves no bit.
     """
 
     def __init__(self, cfg: RttSamplerConfig):
@@ -264,61 +261,46 @@ class ThroughputEvaluator:
         self._mean_rtt_cache: dict[tuple, float] = {}
 
     def mean_rtt(self, schedule: SlotSchedule, vsta: int, delay_ms: float) -> float:
-        key = _pattern_key(schedule, vsta)
-        cached = self.lookup(vsta, delay_ms, key)
-        if cached is None:
+        key = (vsta, delay_ms, _pattern_key(schedule, vsta))
+        if key not in self._mean_rtt_cache:
             path = PathParams(delay_ms=delay_ms)
-            cached = sample_rtts(schedule, vsta, path, self._vsta_cfg(vsta)).mean_ms
-            self.remember(vsta, delay_ms, key, cached)
-        return cached
+            stats = sample_rtts(schedule, vsta, path, self._vsta_cfg(vsta))
+            self._mean_rtt_cache[key] = stats.mean_ms
+        return self._mean_rtt_cache[key]
 
-    def lookup(self, vsta: int, delay_ms: float, key: tuple) -> float | None:
-        """Cached mean RTT for the pattern ``key`` (see ``_pattern_key``), if any."""
-        return self._mean_rtt_cache.get((vsta, delay_ms, key))
+    def pattern_means(self, vsta: int, pattern: tuple, delays_ms: Sequence[float]) -> list[float]:
+        """Mean RTT of ``vsta`` under ``pattern`` at each delay.
 
-    def remember(self, vsta: int, delay_ms: float, key: tuple, mean_ms: float) -> None:
-        self._mean_rtt_cache[(vsta, delay_ms, key)] = mean_ms
-
-    def sampled_means(
-        self, schedule: SlotSchedule, vsta: int, delays_ms: Sequence[float]
-    ) -> list[float]:
-        """Sampled mean RTT at each delay, from one draw; bypasses the cache."""
-        return [
-            float(rtts.mean())
-            for rtts in sweep_rtt_samples(schedule, vsta, delays_ms, self._vsta_cfg(vsta))
-        ]
+        The delays not cached yet are sampled from one draw of send times.
+        """
+        cache = self._mean_rtt_cache
+        missing = [d for d in dict.fromkeys(delays_ms) if (vsta, d, pattern) not in cache]
+        if missing:
+            samples = sweep_rtt_samples(pattern, missing, self._vsta_cfg(vsta))
+            for delay, rtts in zip(missing, samples):
+                cache[vsta, delay, pattern] = float(rtts.mean())
+        return [cache[vsta, d, pattern] for d in delays_ms]
 
     def _vsta_cfg(self, vsta: int) -> RttSamplerConfig:
         return replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
 
     def aggregate(self, schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
-        """Sum of ``vsta_throughput`` over the VSTAs, in order.
-
-        The first infinite term ends the sum, so later VSTAs are not
-        sampled.
-        """
+        """Sum of ``vsta_throughput`` over the VSTAs, in order."""
         if len(paths) != schedule.n_vstas:
             raise ValueError(f"expected {schedule.n_vstas} paths, got {len(paths)}")
         total = 0.0
         for vsta, path in enumerate(paths, start=1):
-            throughput = vsta_throughput(path, self.mean_rtt(schedule, vsta, path.delay_ms))
-            if math.isinf(throughput):
-                return throughput
-            total += throughput
+            total += vsta_throughput(path, self.mean_rtt(schedule, vsta, path.delay_ms))
         return total
 
 
 def _pattern_key(schedule: SlotSchedule, vsta: int) -> tuple:
+    """Each window's (length, gap to the next window) in ms, rounded, from the first window."""
     intervals = connected_intervals(schedule, vsta)
     period = schedule.period_ms
     windows = []
     for i, (start, end) in enumerate(intervals):
         nxt = intervals[(i + 1) % len(intervals)][0]
         gap = nxt - end if i + 1 < len(intervals) else (period + nxt) - end
-        windows.append((end - start, gap))
-    return _round_pattern(windows)
-
-
-def _round_pattern(windows: Iterable[tuple[float, float]]) -> tuple:
-    """Pattern key from each window's (length, gap to the next window) in ms."""
-    return tuple((round(length, 9), round(gap, 9)) for length, gap in windows)
+        windows.append((round(end - start, 9), round(gap, 9)))
+    return tuple(windows)

@@ -39,6 +39,10 @@ CSV_HEADER = (
 )
 
 DEFAULT_SWEEP = tuple(float(d) for d in range(0, 201, 5))
+#: most delays a {start, stop, step} sweep may expand to.  Every algorithm
+#: is evaluated at every delay, so a sweep of this length already takes
+#: minutes on the built-in cases; far longer ones would hang.
+MAX_SWEEP_DELAYS = 10_000
 DEFAULT_SEED = 12345
 
 
@@ -77,11 +81,12 @@ class Scenario:
                 )
         if not self.algorithms:
             raise ConfigError("algorithms: at least one algorithm required")
+        try:
+            # DutyCycleSet checked the duty cycles, so only the slot time can fail
+            derive_slot_plan(self.duty_cycles, self.slot_time_ms)
+        except ValueError as exc:
+            raise ConfigError(f"slot_time_ms: {exc}") from exc
         # chained comparisons are false for NaN
-        if not 0.0 < self.slot_time_ms < math.inf:
-            raise ConfigError(
-                f"slot_time_ms: expected a positive finite time, got {self.slot_time_ms}"
-            )
         for delay in self.delays_ms:
             if not 0.0 <= delay < math.inf:
                 raise ConfigError(f"delays_ms: expected finite delays >= 0, got {delay}")
@@ -126,18 +131,29 @@ _CONFIG_KEYS = {
 }
 
 
-def _number(key: str, value, kind: type | tuple[type, ...] = (int, float)):
-    """``value`` if it is a JSON number of ``kind``; booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+def _number(key: str, value) -> float:
+    """``value`` as a float if it is a JSON number in the float range.
+
+    Booleans are not numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: number outside the float range") from None
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return value
 
 
 def _numbers(key: str, value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
-    return tuple(float(_number(key, x)) for x in value)
+    return tuple(_number(key, x) for x in value)
 
 
 def expand_delays(sweep) -> tuple[float, ...]:
@@ -148,7 +164,7 @@ def expand_delays(sweep) -> tuple[float, ...]:
             raise ConfigError(f"delays_ms: unknown sweep keys {sorted(unknown)}")
         try:
             start, stop, step = (
-                float(_number("delays_ms", sweep[k])) for k in ("start", "stop", "step")
+                _number("delays_ms", sweep[k]) for k in ("start", "stop", "step")
             )
         except KeyError as exc:
             raise ConfigError(f"delays_ms: sweep misses key {exc}") from exc
@@ -156,10 +172,12 @@ def expand_delays(sweep) -> tuple[float, ...]:
             raise ConfigError("delays_ms: sweep start, stop and step must be finite")
         if step <= 0:
             raise ConfigError("delays_ms: sweep step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
+        span = (stop - start) / step + 1e-9
+        if span < 0:
             raise ConfigError("delays_ms: empty sweep range")
-        return tuple(start + k * step for k in range(n))
+        if not span < MAX_SWEEP_DELAYS:
+            raise ConfigError(f"delays_ms: sweep has more than {MAX_SWEEP_DELAYS} delays")
+        return tuple(start + k * step for k in range(int(math.floor(span)) + 1))
     if isinstance(sweep, (list, tuple)):
         return _numbers("delays_ms", sweep)
     raise ConfigError("delays_ms: expected a list or a start/stop/step mapping")
@@ -186,28 +204,28 @@ def scenario_from_config(config: dict, name: str = "custom") -> Scenario:
         raise ConfigError(f"duty_cycles: {exc}") from exc
     loss = config.get("loss_rate", DEFAULT_LOSS_RATE)
     loss_rates = _numbers("loss_rate", loss) if isinstance(loss, (list, tuple)) else (
-        (float(_number("loss_rate", loss)),) * duty.n_vstas
+        (_number("loss_rate", loss),) * duty.n_vstas
     )
     algorithms = config.get("algorithms", ("nopolicy", "minmax"))
     if not (isinstance(algorithms, (list, tuple)) and all(isinstance(a, str) for a in algorithms)):
         raise ConfigError(f"algorithms: expected a list of names, got {algorithms!r}")
-    n_samples = _number("n_samples", config.get("n_samples", RttSamplerConfig.n_samples), int)
+    n_samples = _integer("n_samples", config.get("n_samples", RttSamplerConfig.n_samples))
     mean_fraction = _number(
         "mean_fraction", config.get("mean_fraction", RttSamplerConfig.mean_fraction)
     )
-    seed = _number("seed", config.get("seed", DEFAULT_SEED), int)
+    seed = _integer("seed", config.get("seed", DEFAULT_SEED))
     try:
-        sampler = RttSamplerConfig(n_samples, float(mean_fraction), seed)
+        sampler = RttSamplerConfig(n_samples, mean_fraction, seed)
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
     return Scenario(
         name=str(config.get("name", name)),
         duty_cycles=duty,
-        slot_time_ms=float(_number("slot_time_ms", config["slot_time_ms"])),
+        slot_time_ms=_number("slot_time_ms", config["slot_time_ms"]),
         delays_ms=expand_delays(config["delays_ms"]),
         delay_offsets_ms=_numbers("delay_offsets_ms", config.get("delay_offsets_ms", ())),
         loss_rates=loss_rates,
-        mss_bytes=_number("mss_bytes", config.get("mss_bytes", DEFAULT_MSS_BYTES), int),
+        mss_bytes=_integer("mss_bytes", config.get("mss_bytes", DEFAULT_MSS_BYTES)),
         sampler=sampler,
         algorithms=tuple(algorithms),
     )
@@ -343,9 +361,7 @@ def run_scenario(
     """Full sweep of a scenario; fully deterministic given the seed.
 
     The nopolicy baseline and then each listed algorithm is built and
-    evaluated at every swept delay in turn.  The evaluator keeps the
-    first mean it computes for each (VSTA, delay, pattern), so this
-    order decides the last bits of the rows.
+    evaluated at every swept delay.
     """
     sweep = _Sweep(scenario, max_schedules)
     n = sweep.plan.n_vstas

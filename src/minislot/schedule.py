@@ -19,6 +19,13 @@ from typing import Iterable, Sequence
 DUTY_SUM_TOLERANCE = 1e-6
 #: tolerance used for exact time comparisons (milliseconds)
 TIME_TOLERANCE = 1e-9
+#: most slots a plan may have.  Schedules are built and scanned slot by
+#: slot in Python, in time that grows about with the square of the slot
+#: count: a run at this bound takes seconds, one at a million slots hours.
+MAX_TOTAL_SLOTS = 10_000
+#: shortest slot time; the RTT model rounds window times to
+#: ``TIME_TOLERANCE``, a millionth of this
+MIN_SLOT_TIME_MS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -27,7 +34,9 @@ class DutyCycleSet:
 
     Fractions must be positive and sum to one.  Inputs whose sum is
     within ``DUTY_SUM_TOLERANCE`` of one (rounded user configs) are
-    renormalized; anything further off is rejected.
+    renormalized; anything further off is rejected.  The smallest
+    fraction must be at least ``1 / MAX_TOTAL_SLOTS``, which bounds the
+    slot count of the derived plan.
     """
 
     fractions: tuple[float, ...]
@@ -43,6 +52,13 @@ class DutyCycleSet:
             raise ValueError(
                 f"duty cycles must sum to 1 (got {total!r}, "
                 f"tolerance {DUTY_SUM_TOLERANCE})"
+            )
+        smallest = min(fracs) / total
+        # derive_slot_plan gives VSTA i floor(f_i / smallest) slots
+        if smallest * MAX_TOTAL_SLOTS < 1.0 - DUTY_SUM_TOLERANCE:
+            raise ValueError(
+                f"the smallest duty cycle, {smallest!r}, gives a plan of more than "
+                f"{MAX_TOTAL_SLOTS} slots"
             )
         object.__setattr__(self, "fractions", tuple(f / total for f in fracs))
 
@@ -82,10 +98,12 @@ def derive_slot_plan(duty: DutyCycleSet, slot_time_ms: float) -> SlotPlan:
     ``g_i = floor(f_i * T / slot_time)`` slots, and its actual slot
     duration is ``f_i * T / g_i``.
     """
-    if not slot_time_ms > 0.0:
-        raise ValueError(f"slot time must be positive, got {slot_time_ms}")
+    if not slot_time_ms >= MIN_SLOT_TIME_MS:
+        raise ValueError(f"slot time must be at least {MIN_SLOT_TIME_MS} ms, got {slot_time_ms}")
     min_f = min(duty.fractions)
     period = slot_time_ms / min_f
+    if not period < math.inf:
+        raise ValueError(f"slot time {slot_time_ms} ms gives an infinite period")
     # f_i*T/slot_time == f_i/min_f; the epsilon guards ratios such as
     # 6.499999999999999 that are exact integers in real arithmetic.
     counts = tuple(int(math.floor(f / min_f + TIME_TOLERANCE)) for f in duty.fractions)

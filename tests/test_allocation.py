@@ -7,6 +7,7 @@ from minislot.allocation import (
     EnumerationBudgetError,
     SearchTable,
     _multiset_permutations,
+    _upper_bound_search,
     blind_allocate,
     enumerate_schedules,
     eq1_penalty,
@@ -14,7 +15,6 @@ from minislot.allocation import (
     minmax_allocate,
     schedule_count,
     upper_bound_allocate,
-    upper_bound_sweep,
 )
 from minislot.rttmodel import (
     PathParams,
@@ -284,10 +284,7 @@ class TestSearchTable:
                 assert table.worst[s, v - 1] == max_disconnection(schedule, v)
                 pid = table.pattern[s, v - 1]
                 assert table.keys[v - 1][pid] == _pattern_key(schedule, v)
-                assert table.reps[v - 1][pid] <= s
         for v in range(plan.n_vstas):
-            for pid, rep in enumerate(table.reps[v]):
-                assert table.pattern[rep, v] == pid
             # distinct ids have distinct keys
             assert len(set(table.keys[v])) == len(table.keys[v])
 
@@ -339,7 +336,7 @@ class TestTableSearchMatchesBruteForce:
             for base in (0.0, 10.0, 55.0, 10.0)
         ]
         swept = ThroughputEvaluator(self.CFG)
-        results = upper_bound_sweep(plan, paths_by_delay, self.CFG, evaluator=swept)
+        results = _upper_bound_search(SearchTable(plan), paths_by_delay, swept)
         looped = ThroughputEvaluator(self.CFG)
         singles = ThroughputEvaluator(self.CFG)
         for paths, result in zip(paths_by_delay, results):
@@ -350,25 +347,3 @@ class TestTableSearchMatchesBruteForce:
             single = upper_bound_allocate(plan, paths, self.CFG, evaluator=singles)
             assert single == result
         assert swept._mean_rtt_cache == looped._mean_rtt_cache == singles._mean_rtt_cache
-
-    def test_upper_bound_rows_cut_short_by_a_zero_mean(self, case3_plan):
-        """A zero mean RTT ends a row's sum, and its later VSTAs go unevaluated.
-
-        A cached zero mean for VSTA 1's pattern in the first row kills
-        every row with that pattern, so some VSTA 2 and 3 patterns are
-        first evaluated on a later row than the one that has them first.
-        In case3 the two rows' windows start at other times, so their
-        sampled means differ in the last bits.
-        """
-        paths = [PathParams(delay_ms=d) for d in (10.0, 30.0, 50.0)]
-        first = next(enumerate_schedules(case3_plan)[0])
-        evaluators = [ThroughputEvaluator(self.CFG) for _ in range(2)]
-        for evaluator in evaluators:
-            evaluator.remember(1, 10.0, _pattern_key(first, 1), 0.0)
-        swept, looped = evaluators
-        (result,) = upper_bound_sweep(case3_plan, [paths], self.CFG, evaluator=swept)
-        want = brute_force(
-            case3_plan, lambda s: looped.aggregate(s, paths), lambda a, b: a > b
-        )
-        assert (result.schedule.owners, result.objective_value, result.evaluations) == want
-        assert swept._mean_rtt_cache == looped._mean_rtt_cache
