@@ -16,7 +16,6 @@ from .rttmodel import (
     RttSamplerConfig,
     RttStats,
     ThroughputEvaluator,
-    connected_intervals,
     mathis_throughput,
     rtt_for_send_time,
     sample_rtts,
@@ -36,6 +35,7 @@ from .schedule import (
     SlotPlan,
     SlotSchedule,
     build_contiguous_schedule,
+    connected_intervals,
     derive_slot_plan,
     disconnection_costs,
     max_disconnection,

@@ -14,15 +14,17 @@ Three ways to place the slots of a plan into the period:
   comparison ceiling.
 
 The exhaustive searches score a ``SearchTable``: every feasible owner
-vector with its per-VSTA worst disconnection and RTT pattern, built once
-and shared across objectives and delays.
+vector with each VSTA's window pattern, built once and shared across
+objectives and delays.  Every objective is a sum over VSTAs of a value
+that depends on the row only through the VSTA's pattern, so each search
+computes one value per (VSTA, pattern) and gathers them into the rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,18 +32,22 @@ from .rttmodel import (
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
-    _pattern_key,
     mathis_throughput,
     vsta_throughput,
 )
-from .schedule import SlotPlan, SlotSchedule, max_disconnection
+from .schedule import SlotPlan, SlotSchedule, _pattern_key, max_disconnection, worst_gap
 
-DEFAULT_MAX_SCHEDULES = 1_000_000
-DEFAULT_COMBINATION_BUDGET = 1_000_000
+#: most owner vectors an exhaustive search enumerates; the table is built
+#: row by row in Python (277,200 rows take about 12 s), so one at this
+#: bound already takes most of a minute
+MAX_OWNER_VECTORS = 1_000_000
+#: most slot combinations min-max scores for one VSTA before it falls back
+#: to picking the free position nearest each evenly spaced target
+MAX_COMBINATIONS = 1_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Feasible-schedule count exceeds the configured enumeration budget."""
+    """Feasible-schedule count exceeds the enumeration budget."""
 
     def __init__(self, count: int, budget: int):
         super().__init__(
@@ -87,17 +93,16 @@ def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
         arr[i + 1:] = reversed(arr[i + 1:])
 
 
-def enumerate_schedules(
-    plan: SlotPlan, max_schedules: int = DEFAULT_MAX_SCHEDULES
-) -> tuple[Iterator[SlotSchedule], int]:
+def enumerate_schedules(plan: SlotPlan) -> tuple[Iterator[SlotSchedule], int]:
     """Stream of every feasible schedule, plus the total count.
 
     Rotations of the same cyclic arrangement are enumerated as
-    distinct owner vectors.
+    distinct owner vectors.  More than ``MAX_OWNER_VECTORS`` raise
+    ``EnumerationBudgetError`` before any is built.
     """
     count = schedule_count(plan)
-    if count > max_schedules:
-        raise EnumerationBudgetError(count, max_schedules)
+    if count > MAX_OWNER_VECTORS:
+        raise EnumerationBudgetError(count, MAX_OWNER_VECTORS)
 
     def gen() -> Iterator[SlotSchedule]:
         for owners in _multiset_permutations(plan.slot_counts):
@@ -115,24 +120,21 @@ class SearchTable:
     row:
 
     * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
-    * ``worst[s, v - 1]`` -- ``max_disconnection`` of VSTA ``v``;
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
       ``keys[v - 1][id]`` is its ``_pattern_key``.
     """
 
-    def __init__(self, plan: SlotPlan, max_schedules: int = DEFAULT_MAX_SCHEDULES):
-        schedules, count = enumerate_schedules(plan, max_schedules)
+    def __init__(self, plan: SlotPlan):
+        schedules, count = enumerate_schedules(plan)
         self.plan = plan
         self.count = count
         n = plan.n_vstas
         self.owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
-        self.worst = np.empty((count, n))
         self.pattern = np.empty((count, n), np.int32)
         interned: list[dict[tuple, int]] = [{} for _ in range(n)]
         for s, schedule in enumerate(schedules):
             self.owners[s] = schedule.owners
             for v, ids in enumerate(interned, start=1):
-                self.worst[s, v - 1] = max_disconnection(schedule, v)
                 self.pattern[s, v - 1] = ids.setdefault(_pattern_key(schedule, v), len(ids))
         self.keys = [list(ids) for ids in interned]
 
@@ -149,10 +151,7 @@ def eq2_objective(schedule: SlotSchedule) -> float:
     """
     total = 0.0
     for vsta in range(1, schedule.n_vstas + 1):
-        worst = max_disconnection(schedule, vsta)
-        if worst <= 0.0:
-            return math.inf
-        total += 1.0 / worst
+        total += _eq2_term(max_disconnection(schedule, vsta))
     return total
 
 
@@ -160,17 +159,24 @@ def eq1_penalty(schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
     """Total throughput lost to disconnections versus the bare wired paths."""
     penalty = 0.0
     for vsta, path in enumerate(paths, start=1):
-        worst = max_disconnection(schedule, vsta)
-        if worst <= 0.0:
-            continue
-        if path.delay_ms <= 0.0:
-            return math.inf
-        ideal = mathis_throughput(path.mss_bytes, path.delay_ms, path.loss_rate)
-        degraded = mathis_throughput(
-            path.mss_bytes, path.delay_ms + worst, path.loss_rate
-        )
-        penalty += ideal - degraded
+        penalty += _eq1_term(path, max_disconnection(schedule, vsta))
     return penalty
+
+
+# The per-VSTA terms of the objectives, summed over the VSTAs in order both
+# by the functions above and by the search over a ``SearchTable``.
+def _eq2_term(worst: float) -> float:
+    return 1.0 / worst if worst > 0.0 else math.inf
+
+
+def _eq1_term(path: PathParams, worst: float) -> float:
+    """Throughput lost to a worst disconnection; none if there is none."""
+    if worst <= 0.0:
+        return 0.0
+    if path.delay_ms <= 0.0:
+        return math.inf
+    ideal = mathis_throughput(path.mss_bytes, path.delay_ms, path.loss_rate)
+    return ideal - mathis_throughput(path.mss_bytes, path.delay_ms + worst, path.loss_rate)
 
 
 def _circular_index_gaps(positions: Sequence[int], total_slots: int) -> list[int]:
@@ -198,9 +204,7 @@ def _evenly_spaced_positions(g: int, total_slots: int) -> list[int]:
     return sorted(positions)
 
 
-def minmax_allocate(
-    plan: SlotPlan, combination_budget: int = DEFAULT_COMBINATION_BUDGET
-) -> AllocationResult:
+def minmax_allocate(plan: SlotPlan) -> AllocationResult:
     """Min-max disconnection-time heuristic.
 
     The VSTA with the most slots is placed first on maximally even
@@ -228,7 +232,7 @@ def minmax_allocate(
     for vsta in order[1:-1]:
         g = plan.slot_counts[vsta - 1]
         n_combos = math.comb(len(free), g)
-        if n_combos <= combination_budget:
+        if n_combos <= MAX_COMBINATIONS:
             best: tuple[int, ...] | None = None
             best_gap = None
             for combo in combinations(free, g):
@@ -276,7 +280,6 @@ def blind_allocate(
     plan: SlotPlan,
     objective: str = "eq2",
     paths: Sequence[PathParams] | None = None,
-    max_schedules: int = DEFAULT_MAX_SCHEDULES,
 ) -> AllocationResult:
     """Exhaustive search over every feasible schedule.
 
@@ -293,7 +296,7 @@ def blind_allocate(
             raise ValueError("objective 'eq1' requires per-VSTA path parameters")
         if len(paths) != plan.n_vstas:
             raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
-    return _blind_search(SearchTable(plan, max_schedules), objective, paths)
+    return _blind_search(SearchTable(plan), objective, paths)
 
 
 def _blind_search(
@@ -301,40 +304,28 @@ def _blind_search(
 ) -> AllocationResult:
     """``blind_allocate`` over a prebuilt table, with arguments already checked."""
     if objective == "eq2":
-        scores = _eq2_scores(table)
-        best = int(np.argmax(scores))
-    else:
-        scores = _eq1_penalties(table, paths)  # type: ignore[arg-type]
-        best = int(np.argmin(scores))
-    return _result(table.schedule(best), float(scores[best]), table.count)
+        values = [[_eq2_term(worst_gap(key)) for key in keys] for keys in table.keys]
+        return _best_row(table, values, np.argmax)
+    values = [
+        [_eq1_term(path, worst_gap(key)) for key in keys]
+        for keys, path in zip(table.keys, paths)  # type: ignore[arg-type]
+    ]
+    return _best_row(table, values, np.argmin)
 
 
-def _eq2_scores(table: SearchTable) -> np.ndarray:
-    """``eq2_objective`` of every row, summed over VSTAs in order."""
+def _best_row(
+    table: SearchTable, values: Sequence[Sequence[float]], pick: Callable
+) -> AllocationResult:
+    """The first row ``pick`` (``np.argmax`` or ``np.argmin``) takes by score.
+
+    A row's score sums ``values[v - 1][id]`` over the VSTAs in order,
+    where ``id`` is VSTA ``v``'s pattern in that row.
+    """
     scores = np.zeros(table.count)
-    for worst in table.worst.T:
-        inverse = np.full(table.count, math.inf)
-        np.divide(1.0, worst, out=inverse, where=worst > 0.0)
-        scores += inverse
-    return scores
-
-
-def _eq1_penalties(table: SearchTable, paths: Sequence[PathParams]) -> np.ndarray:
-    """``eq1_penalty`` of every row, summed over VSTAs in order."""
-    penalties = np.zeros(table.count)
-    for worst, path in zip(table.worst.T, paths):
-        if path.delay_ms <= 0.0:
-            terms = np.full(table.count, math.inf)
-        else:
-            levels, which = np.unique(worst, return_inverse=True)
-            ideal = mathis_throughput(path.mss_bytes, path.delay_ms, path.loss_rate)
-            terms = np.array([
-                ideal - mathis_throughput(path.mss_bytes, path.delay_ms + w, path.loss_rate)
-                for w in levels.tolist()
-            ])[which]
-        # a VSTA that is never disconnected adds no penalty
-        penalties = np.where(worst > 0.0, penalties + terms, penalties)
-    return penalties
+    for v, by_pattern in enumerate(values):
+        scores += np.asarray(by_pattern)[table.pattern[:, v]]
+    best = int(pick(scores))
+    return _result(table.schedule(best), float(scores[best]), table.count)
 
 
 def _result(schedule: SlotSchedule, objective_value: float, evaluations: int) -> AllocationResult:
@@ -352,7 +343,6 @@ def upper_bound_allocate(
     plan: SlotPlan,
     paths: Sequence[PathParams],
     cfg: RttSamplerConfig,
-    max_schedules: int = DEFAULT_MAX_SCHEDULES,
     evaluator: ThroughputEvaluator | None = None,
 ) -> AllocationResult:
     """Best Monte-Carlo aggregate throughput over all feasible schedules.
@@ -365,7 +355,7 @@ def upper_bound_allocate(
         raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
     if evaluator is None:
         evaluator = ThroughputEvaluator(cfg)
-    return _upper_bound_search(SearchTable(plan, max_schedules), [paths], evaluator)[0]
+    return _upper_bound_search(SearchTable(plan), [paths], evaluator)[0]
 
 
 def _upper_bound_search(
@@ -389,11 +379,7 @@ def _upper_bound_search(
              for path, mean in zip(paths, evaluator.pattern_means(v, key, delays))]
             for key in keys
         ]))
-    results = []
-    for k in range(len(paths_by_delay)):
-        scores = np.zeros(table.count)
-        for v, matrix in enumerate(throughputs):
-            scores += matrix[table.pattern[:, v], k]
-        best = int(np.argmax(scores))
-        results.append(_result(table.schedule(best), float(scores[best]), table.count))
-    return results
+    return [
+        _best_row(table, [matrix[:, k] for matrix in throughputs], np.argmax)
+        for k in range(len(paths_by_delay))
+    ]

@@ -2,8 +2,8 @@
 
 Runs a built-in or file-based scenario sweep and writes the result CSV
 to stdout or a file.  Exit status is 0 on success, 2 on configuration
-errors and 3 when an exhaustive algorithm exceeds the enumeration
-budget.
+errors and 3 when an exhaustive algorithm would enumerate more than
+``allocation.MAX_OWNER_VECTORS`` owner vectors.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .allocation import DEFAULT_MAX_SCHEDULES, EnumerationBudgetError
+from .allocation import EnumerationBudgetError
 from .scenarios import (
     ALGORITHMS,
     ConfigError,
@@ -47,10 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mean-fraction", type=float, default=None,
         help="exponential send-offset mean as a fraction of the connected time",
-    )
-    parser.add_argument(
-        "--max-schedules", type=int, default=DEFAULT_MAX_SCHEDULES,
-        help="enumeration budget for the exhaustive algorithms",
     )
     parser.add_argument(
         "--dump-schedules", default=None, metavar="PATH",
@@ -94,7 +90,7 @@ def main(argv=None) -> int:
         scenarios = _resolve_scenarios(args)
         rows, dump = [], []
         for scenario in scenarios:
-            run = run_scenario(scenario, max_schedules=args.max_schedules)
+            run = run_scenario(scenario)
             rows.extend(run)
             if args.dump_schedules:
                 dump.append(_schedule_dump(scenario, run.schedules))

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._kernels import rtt_samples, send_times
-from .schedule import SlotSchedule, _check_vsta
+from .schedule import SlotSchedule, _pattern_key, connected_intervals
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
@@ -29,6 +29,10 @@ MAX_LOSS_RATE = 0.02
 DEFAULT_LOSS_RATE = 0.0032
 DEFAULT_MSS_BYTES = 1460
 DEFAULT_N_SAMPLES = 10000
+#: most RTT samples per (VSTA, delay).  A draw holds several float64
+#: arrays of this length at once, about 60 MB at this bound, so far larger
+#: counts would exhaust memory.
+MAX_N_SAMPLES = 1_000_000
 DEFAULT_MEAN_FRACTION = 0.25
 
 
@@ -78,8 +82,10 @@ class RttSamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not 1 <= self.n_samples <= MAX_N_SAMPLES:
+            raise ValueError(
+                f"n_samples must be in [1, {MAX_N_SAMPLES}], got {self.n_samples}"
+            )
         if not 0.0 < self.mean_fraction <= 1.0:
             raise ValueError(
                 f"mean_fraction must be in (0, 1], got {self.mean_fraction}"
@@ -96,27 +102,6 @@ class RttStats:
     min_ms: float
     max_ms: float
     n: int
-
-
-def connected_intervals(schedule: SlotSchedule, vsta: int) -> list[tuple[float, float]]:
-    """Sorted, disjoint half-open [start, end) windows of ``vsta`` in one period.
-
-    Adjacent owned slots merge into a single window.
-    """
-    _check_vsta(schedule, vsta)
-    intervals: list[tuple[float, float]] = []
-    for j, owner in enumerate(schedule.owners):
-        if owner != vsta:
-            continue
-        start = schedule.start_times_ms[j]
-        end = start + schedule.durations_ms[j]
-        if intervals and abs(intervals[-1][1] - start) <= 1e-9:
-            intervals[-1] = (intervals[-1][0], end)
-        else:
-            intervals.append((start, end))
-    if not intervals:
-        raise ValueError(f"VSTA {vsta} owns no slot")
-    return intervals
 
 
 def rtt_for_send_time(
@@ -292,15 +277,3 @@ class ThroughputEvaluator:
         for vsta, path in enumerate(paths, start=1):
             total += vsta_throughput(path, self.mean_rtt(schedule, vsta, path.delay_ms))
         return total
-
-
-def _pattern_key(schedule: SlotSchedule, vsta: int) -> tuple:
-    """Each window's (length, gap to the next window) in ms, rounded, from the first window."""
-    intervals = connected_intervals(schedule, vsta)
-    period = schedule.period_ms
-    windows = []
-    for i, (start, end) in enumerate(intervals):
-        nxt = intervals[(i + 1) % len(intervals)][0]
-        gap = nxt - end if i + 1 < len(intervals) else (period + nxt) - end
-        windows.append((round(end - start, 9), round(gap, 9)))
-    return tuple(windows)

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .allocation import (
-    DEFAULT_MAX_SCHEDULES,
-    SearchTable,
-    _blind_search,
-    _upper_bound_search,
-    minmax_allocate,
-)
+from .allocation import SearchTable, _blind_search, _upper_bound_search, minmax_allocate
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
     DEFAULT_MSS_BYTES,
@@ -83,7 +77,7 @@ class Scenario:
             raise ConfigError("algorithms: at least one algorithm required")
         try:
             # DutyCycleSet checked the duty cycles, so only the slot time can fail
-            derive_slot_plan(self.duty_cycles, self.slot_time_ms)
+            plan = derive_slot_plan(self.duty_cycles, self.slot_time_ms)
         except ValueError as exc:
             raise ConfigError(f"slot_time_ms: {exc}") from exc
         # chained comparisons are false for NaN
@@ -93,6 +87,9 @@ class Scenario:
         for off in self.offsets():
             if not 0.0 <= min(self.delays_ms) + off < math.inf:
                 raise ConfigError(f"delay_offsets_ms: offset {off} gives an invalid path delay")
+        # an ack lands up to a period plus the path delay after the period starts
+        if not plan.period_ms + (max(self.delays_ms) + max(self.offsets())) < math.inf:
+            raise ConfigError("delays_ms: the period plus the largest path delay is not finite")
         for p in self.losses():
             if not 0.0 < p < MAX_LOSS_RATE:
                 raise ConfigError(f"loss_rate: expected rates in (0, {MAX_LOSS_RATE}), got {p}")
@@ -231,11 +228,20 @@ def scenario_from_config(config: dict, name: str = "custom") -> Scenario:
     )
 
 
+def _json_integer(digits: str) -> int | float:
+    """A JSON integer; past Python's 4,300-digit limit it is inf, beyond every
+    bound here, so the field that holds it is rejected by name."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def load_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
+            config = json.load(fh, parse_int=_json_integer)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return scenario_from_config(config, name=path)
 
@@ -311,16 +317,15 @@ def _ratio(value: float, baseline: float) -> float:
 class _Sweep:
     """What the schedulers of one ``run_scenario`` call share."""
 
-    def __init__(self, scenario: Scenario, max_schedules: int):
+    def __init__(self, scenario: Scenario):
         self.plan = derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
         self.paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
         self.evaluator = ThroughputEvaluator(scenario.sampler)
-        self.max_schedules = max_schedules
 
     @cached_property
     def table(self) -> SearchTable:
         """Every feasible owner vector, enumerated once, on first use."""
-        return SearchTable(self.plan, self.max_schedules)
+        return SearchTable(self.plan)
 
 
 # Algorithm name -> scheduler, called with the run's ``_Sweep``.  A
@@ -355,15 +360,13 @@ class ScenarioRun(list):
         self.schedules = schedules
 
 
-def run_scenario(
-    scenario: Scenario, max_schedules: int = DEFAULT_MAX_SCHEDULES
-) -> ScenarioRun:
+def run_scenario(scenario: Scenario) -> ScenarioRun:
     """Full sweep of a scenario; fully deterministic given the seed.
 
     The nopolicy baseline and then each listed algorithm is built and
     evaluated at every swept delay.
     """
-    sweep = _Sweep(scenario, max_schedules)
+    sweep = _Sweep(scenario)
     n = sweep.plan.n_vstas
     seed = scenario.sampler.seed
 

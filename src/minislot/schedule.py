@@ -5,9 +5,10 @@ virtual stations (VSTAs), one per access point.  Each VSTA ``i`` is
 granted a duty cycle ``f_i`` (fractions sum to one) and receives
 ``g_i`` slots per period.  This module derives the slot plan from a
 duty-cycle set, builds concrete schedules (ordered slot-to-VSTA
-assignments with wall-clock start times) and computes the circular
-disconnection cost of a VSTA, i.e. how long it stays off the air
-between two of its consecutive slots.
+assignments with wall-clock start times) and computes what one VSTA
+sees of a schedule: its connected windows, their pattern of lengths
+and gaps, and its circular disconnection costs (how long it stays off
+the air between two of its consecutive slots).
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ TIME_TOLERANCE = 1e-9
 #: slot in Python, in time that grows about with the square of the slot
 #: count: a run at this bound takes seconds, one at a million slots hours.
 MAX_TOTAL_SLOTS = 10_000
-#: shortest slot time; the RTT model rounds window times to
-#: ``TIME_TOLERANCE``, a millionth of this
+#: shortest slot time; ``_pattern_key`` rounds window times to 1e-9 ms,
+#: a millionth of this
 MIN_SLOT_TIME_MS = 1e-3
 
 
@@ -237,6 +238,44 @@ def disconnection_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
     return costs
 
 
+def connected_intervals(schedule: SlotSchedule, vsta: int) -> list[tuple[float, float]]:
+    """Sorted, disjoint half-open [start, end) windows of ``vsta`` in one period.
+
+    Adjacent owned slots merge into a single window.
+    """
+    _check_vsta(schedule, vsta)
+    intervals: list[tuple[float, float]] = []
+    for j, owner in enumerate(schedule.owners):
+        if owner != vsta:
+            continue
+        start = schedule.start_times_ms[j]
+        end = start + schedule.durations_ms[j]
+        if intervals and abs(intervals[-1][1] - start) <= TIME_TOLERANCE:
+            intervals[-1] = (intervals[-1][0], end)
+        else:
+            intervals.append((start, end))
+    if not intervals:
+        raise ValueError(f"VSTA {vsta} owns no slot")
+    return intervals
+
+
+def _pattern_key(schedule: SlotSchedule, vsta: int) -> tuple:
+    """Each window's (length, gap to the next window) in ms, rounded, from the first window."""
+    intervals = connected_intervals(schedule, vsta)
+    period = schedule.period_ms
+    windows = []
+    for i, (start, end) in enumerate(intervals):
+        nxt = intervals[(i + 1) % len(intervals)][0]
+        gap = nxt - end if i + 1 < len(intervals) else (period + nxt) - end
+        windows.append((round(end - start, 9), round(gap, 9)))
+    return tuple(windows)
+
+
+def worst_gap(pattern: tuple) -> float:
+    """Largest gap of a ``_pattern_key``: the worst disconnection time in ms."""
+    return max(gap for _, gap in pattern)
+
+
 def max_disconnection(schedule: SlotSchedule, vsta: int) -> float:
-    """Worst-case off-air time of ``vsta``; 0 when it owns every slot."""
-    return max(disconnection_costs(schedule, vsta))
+    """Worst-case off-air time of ``vsta``, read from its pattern key; 0 if it owns every slot."""
+    return worst_gap(_pattern_key(schedule, vsta))

@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 
 from minislot.allocation import (
+    MAX_OWNER_VECTORS,
     EnumerationBudgetError,
     SearchTable,
     _multiset_permutations,
@@ -20,10 +21,10 @@ from minislot.rttmodel import (
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
-    _pattern_key,
 )
 from minislot.schedule import (
     DutyCycleSet,
+    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     max_disconnection,
@@ -60,6 +61,12 @@ def case3_plan():
     return derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0)
 
 
+@pytest.fixture
+def ten_tenths_plan():
+    """Ten single-slot VSTAs: 10! = 3,628,800 owner vectors, over the budget."""
+    return derive_slot_plan(DutyCycleSet([0.1] * 10), 10.0)
+
+
 class TestScheduleCount:
     def test_reference_counts(self, case1_plan, case2_plan, case3_plan):
         assert schedule_count(case1_plan) == 1680
@@ -84,11 +91,11 @@ class TestEnumeration:
         assert owners == sorted(owners)
         assert owners[0] == (1, 1, 1, 1, 2, 3, 3, 3)
 
-    def test_budget_enforced_before_enumeration(self, case1_plan):
+    def test_budget_enforced_before_enumeration(self, ten_tenths_plan):
         with pytest.raises(EnumerationBudgetError) as exc_info:
-            enumerate_schedules(case1_plan, max_schedules=1000)
-        assert exc_info.value.count == 1680
-        assert exc_info.value.budget == 1000
+            enumerate_schedules(ten_tenths_plan)
+        assert exc_info.value.count == 3_628_800
+        assert exc_info.value.budget == MAX_OWNER_VECTORS == 1_000_000
 
     def test_slot_counts_respected(self, case3_plan):
         schedules, _ = enumerate_schedules(case3_plan)
@@ -168,6 +175,18 @@ class TestMinmaxAllocate:
         result = minmax_allocate(plan)
         assert result.schedule.owners == (1,)
 
+    def test_greedy_fallback(self):
+        """VSTA 2 faces C(41, 20) combinations, past the budget, so it takes
+        the nearest free position to each even target (owners as recorded
+        when the test was added)."""
+        plan = derive_slot_plan(DutyCycleSet([20 / 61] * 3 + [1 / 61]), 1.0)
+        assert plan.slot_counts == (20, 20, 20, 1)
+        result = minmax_allocate(plan)
+        assert result == minmax_allocate(plan)
+        assert result.schedule.owners == (1, 2, 3) * 10 + (4,) + (1, 2, 3) * 10
+        # VSTA 1 on even positions, 41 for the fallback, 21 combinations, the last VSTA
+        assert result.evaluations == 1 + 41 + 21 + 1
+
 
 class TestBlindAllocate:
     def test_eq2_matches_heuristic_objective(self, case2_plan):
@@ -197,9 +216,9 @@ class TestBlindAllocate:
         with pytest.raises(ValueError, match="objective"):
             blind_allocate(case2_plan, "eq3")
 
-    def test_budget_propagates(self, case1_plan):
+    def test_budget_propagates(self, ten_tenths_plan):
         with pytest.raises(EnumerationBudgetError):
-            blind_allocate(case1_plan, "eq2", max_schedules=100)
+            blind_allocate(ten_tenths_plan, "eq2")
 
     def test_tie_break_is_lexicographic(self, case2_plan):
         # re-running with the same inputs must return the same owners
@@ -234,6 +253,18 @@ class TestUpperBoundAllocate:
 
 
 class TestMaxDisconnectionConsistency:
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_is_the_largest_pattern_gap(self, name):
+        """The searches score patterns, so the worst disconnection must be
+        read from the pattern key bit for bit; case3's slot sizes are not
+        exact, and a walk over the slots differs there by up to 3.3e-10 ms."""
+        plan = plan_named(name)
+        schedules, _ = enumerate_schedules(plan)
+        for schedule in schedules:
+            for v in range(1, plan.n_vstas + 1):
+                gaps = [gap for _, gap in _pattern_key(schedule, v)]
+                assert max_disconnection(schedule, v) == max(gaps)
+
     def test_results_agree_with_schedule_module(self, case3_plan):
         for result in (minmax_allocate(case3_plan), blind_allocate(case3_plan, "eq2")):
             direct = tuple(
@@ -281,17 +312,16 @@ class TestSearchTable:
             assert tuple(table.owners[s]) == schedule.owners
             assert table.schedule(s) == schedule
             for v in range(1, plan.n_vstas + 1):
-                assert table.worst[s, v - 1] == max_disconnection(schedule, v)
                 pid = table.pattern[s, v - 1]
                 assert table.keys[v - 1][pid] == _pattern_key(schedule, v)
         for v in range(plan.n_vstas):
             # distinct ids have distinct keys
             assert len(set(table.keys[v])) == len(table.keys[v])
 
-    def test_budget_enforced(self, case1_plan):
+    def test_budget_enforced(self, ten_tenths_plan):
         with pytest.raises(EnumerationBudgetError) as exc_info:
-            SearchTable(case1_plan, max_schedules=1679)
-        assert exc_info.value.count == 1680
+            SearchTable(ten_tenths_plan)
+        assert exc_info.value.count == 3_628_800
 
 
 class TestTableSearchMatchesBruteForce:

@@ -87,6 +87,16 @@ class TestScheduleProperties:
             want = sorted(oracle_costs(schedule, vsta))
             assert got == pytest.approx(want, abs=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(schedules())
+    def test_max_disconnection_is_the_largest_cost(self, plan_schedule):
+        """The worst gap read from the pattern key is the largest per-slot
+        cost, up to the key's rounding to 1e-9 ms."""
+        plan, schedule = plan_schedule
+        for vsta in range(1, plan.n_vstas + 1):
+            worst = max(disconnection_costs(schedule, vsta))
+            assert abs(max_disconnection(schedule, vsta) - worst) <= 1e-9
+
     @settings(max_examples=40, deadline=None)
     @given(schedules(), st.integers(min_value=1, max_value=8))
     def test_rotation_preserves_cost_multiset_and_eq2(self, plan_schedule, shift):

@@ -21,6 +21,27 @@ from minislot.scenarios import (
 )
 from minislot.schedule import DutyCycleSet, build_contiguous_schedule, derive_slot_plan
 
+
+class JsonDigits(str):
+    """Digits that the scenario file holds as a bare JSON integer."""
+
+    def __repr__(self):
+        return f"<{len(self)}-digit integer>"
+
+
+def write_json(path, config):
+    """``json.dumps(config)`` with each ``JsonDigits`` value unquoted.
+
+    Python neither prints nor parses integers of more than 4,300 digits
+    by default, so such a number is written as text.
+    """
+    text = json.dumps(config)
+    for value in config.values():
+        if isinstance(value, JsonDigits):
+            text = text.replace(json.dumps(value), value)
+    path.write_text(text)
+
+
 # (scenario file fields replaced, extra CLI arguments, field the error names)
 BAD_INPUTS = [
     # wrong JSON types
@@ -47,6 +68,10 @@ BAD_INPUTS = [
     ({"duty_cycles": [1e-320, 1.0]}, [], "duty_cycles"),
     ({"slot_time_ms": 1e308}, [], "slot_time_ms"),
     ({"slot_time_ms": 1e-12}, [], "slot_time_ms"),
+    ({"n_samples": 10**13}, [], "n_samples"),
+    ({}, ["--samples", str(10**13)], "n_samples"),
+    ({"n_samples": JsonDigits("9" * 5000)}, [], "n_samples"),
+    ({"slot_time_ms": 1e307, "delays_ms": [1.7e308]}, [], "delays_ms"),
 ]
 
 SMALL_CONFIG = {
@@ -296,7 +321,7 @@ class TestScheduleRecords:
 class TestCli:
     def _write_config(self, tmp_path, config):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config))
+        write_json(path, config)
         return str(path)
 
     def test_file_scenario_to_csv(self, tmp_path, capsys):
@@ -323,9 +348,11 @@ class TestCli:
         assert main(["--scenario", str(path)]) == 2
 
     def test_budget_exit_code(self, tmp_path, capsys):
-        config = dict(SMALL_CONFIG, algorithms=["nopolicy", "eq2"])
+        # ten single-slot VSTAs have 10! = 3,628,800 owner vectors
+        config = dict(SMALL_CONFIG, duty_cycles=[0.1] * 10, algorithms=["nopolicy", "eq2"])
         path = self._write_config(tmp_path, config)
-        assert main(["--scenario", path, "--max-schedules", "1"]) == 3
+        assert main(["--scenario", path]) == 3
+        assert "exceed the enumeration budget of 1000000" in capsys.readouterr().err
 
     def test_algorithm_and_seed_overrides(self, tmp_path):
         path = self._write_config(tmp_path, SMALL_CONFIG)
