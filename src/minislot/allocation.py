@@ -181,27 +181,15 @@ def _eq1_term(path: PathParams, worst: float) -> float:
 
 def _circular_index_gaps(positions: Sequence[int], total_slots: int) -> list[int]:
     pos = sorted(positions)
-    if len(pos) == 1:
-        return [total_slots]
     gaps = [pos[i + 1] - pos[i] for i in range(len(pos) - 1)]
     gaps.append(pos[0] + total_slots - pos[-1])
     return gaps
 
 
 def _evenly_spaced_positions(g: int, total_slots: int) -> list[int]:
-    positions: list[int] = []
-    for k in range(1, g + 1):
-        p = round(1 + (k - 1) * total_slots / g)
-        if p not in positions:
-            positions.append(p)
-    # rounding collisions are only possible for pathological g/G ratios;
-    # top up with the smallest unused positions to keep exactly g slots
-    fill = 1
-    while len(positions) < g:
-        if fill not in positions:
-            positions.append(fill)
-        fill += 1
-    return sorted(positions)
+    # for g <= G the step G/g is at least 1, so the rounded positions
+    # strictly increase within 1..G
+    return [round(1 + k * total_slots / g) for k in range(g)]
 
 
 def minmax_allocate(plan: SlotPlan) -> AllocationResult:

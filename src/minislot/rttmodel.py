@@ -28,6 +28,8 @@ MAX_LOSS_RATE = 0.02
 
 DEFAULT_LOSS_RATE = 0.0032
 DEFAULT_MSS_BYTES = 1460
+#: the largest MSS the 16-bit TCP MSS option carries
+MAX_MSS_BYTES = 65_535
 DEFAULT_N_SAMPLES = 10000
 #: most RTT samples per (VSTA, delay).  A draw holds several float64
 #: arrays of this length at once, about 60 MB at this bound, so far larger
@@ -55,8 +57,8 @@ class PathParams:
             raise MathisValidityError(
                 f"loss rate must be in (0, {MAX_LOSS_RATE}), got {self.loss_rate}"
             )
-        if self.mss_bytes <= 0:
-            raise ValueError(f"MSS must be positive, got {self.mss_bytes}")
+        if not 0 < self.mss_bytes <= MAX_MSS_BYTES:
+            raise ValueError(f"MSS must be in 1..{MAX_MSS_BYTES}, got {self.mss_bytes}")
 
 
 @dataclass(frozen=True)

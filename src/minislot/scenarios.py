@@ -20,6 +20,7 @@ from .rttmodel import (
     DEFAULT_LOSS_RATE,
     DEFAULT_MSS_BYTES,
     MAX_LOSS_RATE,
+    MAX_MSS_BYTES,
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
@@ -87,14 +88,21 @@ class Scenario:
         for off in self.offsets():
             if not 0.0 <= min(self.delays_ms) + off < math.inf:
                 raise ConfigError(f"delay_offsets_ms: offset {off} gives an invalid path delay")
-        # an ack lands up to a period plus the path delay after the period starts
-        if not plan.period_ms + (max(self.delays_ms) + max(self.offsets())) < math.inf:
-            raise ConfigError("delays_ms: the period plus the largest path delay is not finite")
+        # an ack lands up to a period plus the path delay after the period
+        # starts, and a mean RTT sums n_samples such times
+        longest = plan.period_ms + (max(self.delays_ms) + max(self.offsets()))
+        if not self.sampler.n_samples * longest < math.inf:
+            raise ConfigError(
+                "delays_ms: n_samples times the period plus the largest path delay "
+                "is not finite"
+            )
         for p in self.losses():
             if not 0.0 < p < MAX_LOSS_RATE:
                 raise ConfigError(f"loss_rate: expected rates in (0, {MAX_LOSS_RATE}), got {p}")
-        if self.mss_bytes <= 0:
-            raise ConfigError(f"mss_bytes: expected a positive size, got {self.mss_bytes}")
+        if not 0 < self.mss_bytes <= MAX_MSS_BYTES:
+            raise ConfigError(
+                f"mss_bytes: expected a size in 1..{MAX_MSS_BYTES}, got {self.mss_bytes}"
+            )
 
     def offsets(self) -> tuple[float, ...]:
         if self.delay_offsets_ms:

@@ -13,7 +13,7 @@ the air between two of its consecutive slots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 #: tolerance accepted on a duty-cycle sum before rejecting the input
@@ -27,6 +27,10 @@ MAX_TOTAL_SLOTS = 10_000
 #: shortest slot time; ``_pattern_key`` rounds window times to 1e-9 ms,
 #: a millionth of this
 MIN_SLOT_TIME_MS = 1e-3
+#: longest period.  Adjacent slots merge, and pattern keys round, within
+#: ``TIME_TOLERANCE``.  Floats near this bound are 1.2e-10 ms apart; above
+#: about 8e6 ms they are more than 1e-9 ms apart and adjacent slots split.
+MAX_PERIOD_MS = 1_000_000.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,6 @@ class SlotPlan:
     """
 
     period_ms: float
-    slot_time_ms: float
     slot_counts: tuple[int, ...]
     slot_sizes_ms: tuple[float, ...]
 
@@ -103,61 +106,41 @@ def derive_slot_plan(duty: DutyCycleSet, slot_time_ms: float) -> SlotPlan:
         raise ValueError(f"slot time must be at least {MIN_SLOT_TIME_MS} ms, got {slot_time_ms}")
     min_f = min(duty.fractions)
     period = slot_time_ms / min_f
-    if not period < math.inf:
-        raise ValueError(f"slot time {slot_time_ms} ms gives an infinite period")
+    if not period <= MAX_PERIOD_MS:
+        raise ValueError(
+            f"slot time {slot_time_ms} ms gives a period of {period} ms, "
+            f"above {MAX_PERIOD_MS:,.0f} ms"
+        )
     # f_i*T/slot_time == f_i/min_f; the epsilon guards ratios such as
     # 6.499999999999999 that are exact integers in real arithmetic.
     counts = tuple(int(math.floor(f / min_f + TIME_TOLERANCE)) for f in duty.fractions)
     assert all(g >= 1 for g in counts)
     sizes = tuple(f * period / g for f, g in zip(duty.fractions, counts))
-    return SlotPlan(
-        period_ms=period,
-        slot_time_ms=slot_time_ms,
-        slot_counts=counts,
-        slot_sizes_ms=sizes,
-    )
+    return SlotPlan(period_ms=period, slot_counts=counts, slot_sizes_ms=sizes)
 
 
 @dataclass(frozen=True)
 class SlotSchedule:
-    """An ordered assignment of the period's slots to VSTAs.
+    """An ordered assignment of ``plan``'s slots to VSTAs.
 
-    ``owners`` holds 1-based VSTA indices, one per slot position;
-    ``start_times_ms[j]`` is the wall-clock offset of slot ``j`` within
-    one period.  Start times are cumulative sums of the exact slot
-    durations, never rounded intermediates.
+    ``owners`` holds 1-based VSTA indices, one per slot position.  Each
+    slot lasts its owner's slot size, and ``start_times_ms[j]`` is the
+    wall-clock offset of slot ``j`` within one period: the exact sum of
+    the durations before it, never of rounded intermediates.
     """
 
+    plan: SlotPlan
     owners: tuple[int, ...]
-    durations_ms: tuple[float, ...]
-    start_times_ms: tuple[float, ...]
-    period_ms: float
-    n_vstas: int
+    durations_ms: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    start_times_ms: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (len(self.owners) == len(self.durations_ms) == len(self.start_times_ms)):
-            raise ValueError("owners, durations and start times must align")
-        if min(self.owners) < 1 or max(self.owners) > self.n_vstas:
-            raise ValueError("slot owners must be valid 1-based VSTA indices")
-        closing = self.start_times_ms[-1] + self.durations_ms[-1]
-        if abs(closing - self.period_ms) > 1e-6:
-            raise ValueError(
-                f"slots must tile the period: last slot closes at {closing}, "
-                f"period is {self.period_ms}"
-            )
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.owners)
-
-    @classmethod
-    def from_owners(cls, plan: SlotPlan, owners: Sequence[int]) -> "SlotSchedule":
-        """Build a schedule for ``plan`` from an owner-per-slot vector."""
-        owners = tuple(int(o) for o in owners)
+        plan, owners = self.plan, self.owners
         if len(owners) != plan.total_slots:
             raise ValueError(
                 f"expected {plan.total_slots} slot owners, got {len(owners)}"
             )
+        # with the count above, these imply every owner is in 1..n_vstas
         for vsta in range(1, plan.n_vstas + 1):
             seen = owners.count(vsta)
             if seen != plan.slot_counts[vsta - 1]:
@@ -166,16 +149,26 @@ class SlotSchedule:
                     f"owner vector gives it {seen}"
                 )
         durations = tuple(plan.slot_sizes_ms[o - 1] for o in owners)
-        starts = []
-        for j in range(len(owners)):
-            starts.append(math.fsum(durations[:j]))
-        return cls(
-            owners=owners,
-            durations_ms=durations,
-            start_times_ms=tuple(starts),
-            period_ms=plan.period_ms,
-            n_vstas=plan.n_vstas,
-        )
+        starts = tuple(math.fsum(durations[:j]) for j in range(len(owners)))
+        object.__setattr__(self, "durations_ms", durations)
+        object.__setattr__(self, "start_times_ms", starts)
+
+    @property
+    def period_ms(self) -> float:
+        return self.plan.period_ms
+
+    @property
+    def n_vstas(self) -> int:
+        return self.plan.n_vstas
+
+    @property
+    def n_slots(self) -> int:
+        return len(self.owners)
+
+    @classmethod
+    def from_owners(cls, plan: SlotPlan, owners: Sequence[int]) -> "SlotSchedule":
+        """Build a schedule for ``plan`` from an owner-per-slot vector."""
+        return cls(plan, tuple(int(o) for o in owners))
 
     def positions(self, vsta: int) -> tuple[int, ...]:
         """1-based slot positions owned by ``vsta``, ascending."""
@@ -183,19 +176,9 @@ class SlotSchedule:
         return tuple(j + 1 for j, o in enumerate(self.owners) if o == vsta)
 
     def rotated(self, k: int) -> "SlotSchedule":
-        """Schedule with owners/durations rotated circularly by ``k`` slots."""
-        n = self.n_slots
-        k %= n
-        owners = self.owners[k:] + self.owners[:k]
-        durations = self.durations_ms[k:] + self.durations_ms[:k]
-        starts = tuple(math.fsum(durations[:j]) for j in range(n))
-        return SlotSchedule(
-            owners=owners,
-            durations_ms=durations,
-            start_times_ms=starts,
-            period_ms=self.period_ms,
-            n_vstas=self.n_vstas,
-        )
+        """Schedule with its owners rotated circularly by ``k`` slots."""
+        k %= self.n_slots
+        return SlotSchedule(self.plan, self.owners[k:] + self.owners[:k])
 
 
 def _check_vsta(schedule: SlotSchedule, vsta: int) -> None:

@@ -21,6 +21,7 @@ from minislot.rttmodel import PathParams, RttSamplerConfig, sample_rtts, vsta_se
 from minislot.scenarios import DEFAULT_SEED, DEFAULT_SWEEP, builtin_scenarios, run_scenario
 from minislot.schedule import (
     DutyCycleSet,
+    SlotPlan,
     SlotSchedule,
     build_contiguous_schedule,
     derive_slot_plan,
@@ -85,15 +86,8 @@ def test_criterion_1_slot_plan_exactness():
 
 
 def test_criterion_2_cost_function_exactness():
-    durations = (12.0, 15.0, 10.0, 12.0, 15.0, 12.0)
-    starts = tuple(math.fsum(durations[:j]) for j in range(6))
-    schedule = SlotSchedule(
-        owners=(1, 2, 3, 1, 2, 1),
-        durations_ms=durations,
-        start_times_ms=starts,
-        period_ms=math.fsum(durations),
-        n_vstas=3,
-    )
+    plan = SlotPlan(period_ms=76.0, slot_counts=(3, 2, 1), slot_sizes_ms=(12.0, 15.0, 10.0))
+    schedule = SlotSchedule.from_owners(plan, (1, 2, 3, 1, 2, 1))
     c11 = disconnection_costs(schedule, 1)[0]
     report(2, "cost-function exactness", c11 == 25.0, f"c11={c11}")
 

@@ -7,6 +7,7 @@ from minislot.allocation import (
     MAX_OWNER_VECTORS,
     EnumerationBudgetError,
     SearchTable,
+    _evenly_spaced_positions,
     _multiset_permutations,
     _upper_bound_search,
     blind_allocate,
@@ -24,26 +25,20 @@ from minislot.rttmodel import (
 )
 from minislot.schedule import (
     DutyCycleSet,
+    SlotPlan,
+    SlotSchedule,
     _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     max_disconnection,
 )
-from minislot.schedule import SlotSchedule
 
-WORKED_OWNERS = (1, 2, 3, 1, 2, 1)
-WORKED_DURATIONS = (12.0, 15.0, 10.0, 12.0, 15.0, 12.0)
+# the worked three-VSTA example: owners [1,2,3,1,2,1], slot sizes 12/15/10 ms
+WORKED_PLAN = SlotPlan(period_ms=76.0, slot_counts=(3, 2, 1), slot_sizes_ms=(12.0, 15.0, 10.0))
 
 
 def make_worked_schedule():
-    starts = tuple(math.fsum(WORKED_DURATIONS[:j]) for j in range(len(WORKED_DURATIONS)))
-    return SlotSchedule(
-        owners=WORKED_OWNERS,
-        durations_ms=WORKED_DURATIONS,
-        start_times_ms=starts,
-        period_ms=math.fsum(WORKED_DURATIONS),
-        n_vstas=3,
-    )
+    return SlotSchedule.from_owners(WORKED_PLAN, (1, 2, 3, 1, 2, 1))
 
 
 @pytest.fixture
@@ -186,6 +181,14 @@ class TestMinmaxAllocate:
         assert result.schedule.owners == (1, 2, 3) * 10 + (4,) + (1, 2, 3) * 10
         # VSTA 1 on even positions, 41 for the fallback, 21 combinations, the last VSTA
         assert result.evaluations == 1 + 41 + 21 + 1
+
+    def test_evenly_spaced_positions_are_distinct(self):
+        for total in range(1, 61):
+            for g in range(1, total + 1):
+                positions = _evenly_spaced_positions(g, total)
+                assert len(positions) == g
+                assert positions == sorted(set(positions))
+                assert 1 <= positions[0] and positions[-1] <= total
 
 
 class TestBlindAllocate:

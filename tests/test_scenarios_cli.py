@@ -71,7 +71,15 @@ BAD_INPUTS = [
     ({"n_samples": 10**13}, [], "n_samples"),
     ({}, ["--samples", str(10**13)], "n_samples"),
     ({"n_samples": JsonDigits("9" * 5000)}, [], "n_samples"),
-    ({"slot_time_ms": 1e307, "delays_ms": [1.7e308]}, [], "delays_ms"),
+    ({"slot_time_ms": 1e307, "delays_ms": [1.7e308]}, [], "slot_time_ms"),
+    ({"delays_ms": [0, 1.7e308], "delay_offsets_ms": [1.7e308, 0]}, [], "delays_ms"),
+    ({"slot_time_ms": 1, "delays_ms": [1e305], "n_samples": 10_000}, [], "delays_ms"),
+    ({"slot_time_ms": 1, "delays_ms": [1e305]}, ["--samples", "10000"], "delays_ms"),
+    ({"mss_bytes": 65_536}, [], "mss_bytes"),
+    ({"mss_bytes": 10**400}, [], "mss_bytes"),
+    # a period whose floats lie more than the 1e-9 ms tolerance apart
+    ({"duty_cycles": [0.55, 0.45], "slot_time_ms": 7e9}, [], "slot_time_ms"),
+    ({"duty_cycles": [0.7, 0.2, 0.1], "slot_time_ms": 7e7}, [], "slot_time_ms"),
 ]
 
 SMALL_CONFIG = {
@@ -143,6 +151,9 @@ class TestScenarioFromConfig:
         config = dict(SMALL_CONFIG, delay_offsets_ms=[0.0])
         with pytest.raises(ConfigError, match="delay_offsets_ms"):
             scenario_from_config(config)
+
+    def test_largest_mss_accepted(self):
+        assert scenario_from_config(dict(SMALL_CONFIG, mss_bytes=65_535)).mss_bytes == 65_535
 
     def test_per_vsta_loss_rates(self):
         config = dict(SMALL_CONFIG, loss_rate=[0.001, 0.002])

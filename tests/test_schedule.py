@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from minislot.allocation import minmax_allocate
 from minislot.schedule import (
+    MAX_PERIOD_MS,
     DutyCycleSet,
+    SlotPlan,
     SlotSchedule,
     build_contiguous_schedule,
     derive_slot_plan,
@@ -12,26 +15,14 @@ from minislot.schedule import (
 )
 
 
-def make_schedule(owners, durations, n_vstas):
-    """Build a schedule directly from slot durations (test helper)."""
-    starts = tuple(math.fsum(durations[:j]) for j in range(len(durations)))
-    return SlotSchedule(
-        owners=tuple(owners),
-        durations_ms=tuple(durations),
-        start_times_ms=starts,
-        period_ms=math.fsum(durations),
-        n_vstas=n_vstas,
-    )
-
-
 # the worked three-VSTA example: owners [1,2,3,1,2,1], slot sizes 12/15/10 ms
+WORKED_PLAN = SlotPlan(period_ms=76.0, slot_counts=(3, 2, 1), slot_sizes_ms=(12.0, 15.0, 10.0))
 WORKED_OWNERS = (1, 2, 3, 1, 2, 1)
-WORKED_DURATIONS = (12.0, 15.0, 10.0, 12.0, 15.0, 12.0)
 
 
 @pytest.fixture
 def worked_schedule():
-    return make_schedule(WORKED_OWNERS, WORKED_DURATIONS, n_vstas=3)
+    return SlotSchedule.from_owners(WORKED_PLAN, WORKED_OWNERS)
 
 
 class TestDutyCycleSet:
@@ -82,6 +73,11 @@ class TestDeriveSlotPlan:
     def test_rejects_nonpositive_slot_time(self):
         with pytest.raises(ValueError, match="slot time"):
             derive_slot_plan(DutyCycleSet([1.0]), 0.0)
+
+    def test_period_bound(self):
+        assert derive_slot_plan(DutyCycleSet([0.5, 0.5]), MAX_PERIOD_MS / 2).period_ms == MAX_PERIOD_MS
+        with pytest.raises(ValueError, match="period"):
+            derive_slot_plan(DutyCycleSet([0.5, 0.5]), math.nextafter(MAX_PERIOD_MS / 2, math.inf))
 
     def test_plan_identity(self):
         # f_i * T == g_i * SlotTime_i for every VSTA
@@ -140,7 +136,7 @@ class TestDisconnectionCosts:
     def test_worked_example_single_slot_vsta(self, worked_schedule):
         costs = disconnection_costs(worked_schedule, 3)
         assert costs == pytest.approx([66.0], abs=1e-12)
-        assert costs[0] + 10.0 == pytest.approx(sum(WORKED_DURATIONS), abs=1e-12)
+        assert costs[0] + 10.0 == pytest.approx(WORKED_PLAN.period_ms, abs=1e-12)
 
     def test_cost_conservation(self, worked_schedule):
         # sum of costs plus own airtime equals the period, per VSTA
@@ -178,6 +174,31 @@ class TestSlotScheduleValidation:
         plan = derive_slot_plan(DutyCycleSet([0.5, 0.5]), 10.0)
         with pytest.raises(ValueError, match="owners"):
             SlotSchedule.from_owners(plan, [1, 2, 1])
+
+    def test_worked_example_derived_times(self, worked_schedule):
+        assert worked_schedule.durations_ms == (12.0, 15.0, 10.0, 12.0, 15.0, 12.0)
+        assert worked_schedule.start_times_ms == (0.0, 12.0, 27.0, 37.0, 49.0, 64.0)
+        assert (worked_schedule.period_ms, worked_schedule.n_vstas) == (76.0, 3)
+
+    def test_from_owners_rejects_unknown_owner(self):
+        with pytest.raises(ValueError, match="must own"):
+            SlotSchedule.from_owners(WORKED_PLAN, (1, 2, 4, 1, 2, 1))
+
+    def test_equal_plan_and_owners_are_equal(self, worked_schedule):
+        again = SlotSchedule.from_owners(WORKED_PLAN, list(WORKED_OWNERS))
+        assert again == worked_schedule and hash(again) == hash(worked_schedule)
+        assert worked_schedule.rotated(1) != worked_schedule
+
+    def test_rotations_of_case3_minmax(self):
+        plan = derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0)
+        schedule = minmax_allocate(plan).schedule
+        owners = schedule.owners
+        for k in range(schedule.n_slots):
+            rotated = schedule.rotated(k)
+            assert rotated == SlotSchedule.from_owners(plan, owners[k:] + owners[:k])
+            assert rotated.start_times_ms == tuple(
+                math.fsum(rotated.durations_ms[:j]) for j in range(rotated.n_slots)
+            )
 
     def test_rotation_preserves_cost_multiset(self, worked_schedule):
         base = sorted(disconnection_costs(worked_schedule, 1))
