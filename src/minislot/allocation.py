@@ -28,13 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .rttmodel import (
-    PathParams,
-    RttSamplerConfig,
-    ThroughputEvaluator,
-    mathis_throughput,
-    vsta_throughput,
-)
+from .rttmodel import PathParams, ThroughputEvaluator, mathis_throughput, vsta_throughput
 from .schedule import SlotPlan, SlotSchedule, _pattern_key, max_disconnection, worst_gap
 
 #: most owner vectors an exhaustive search enumerates; the table is built
@@ -328,21 +322,16 @@ def _result(schedule: SlotSchedule, objective_value: float, evaluations: int) ->
 
 
 def upper_bound_allocate(
-    plan: SlotPlan,
-    paths: Sequence[PathParams],
-    cfg: RttSamplerConfig,
-    evaluator: ThroughputEvaluator | None = None,
+    plan: SlotPlan, paths: Sequence[PathParams], evaluator: ThroughputEvaluator
 ) -> AllocationResult:
     """Best Monte-Carlo aggregate throughput over all feasible schedules.
 
-    Scored with a fixed seed so the maximizer is reproducible; ties
-    keep the lexicographically smallest owner vector.  Pass a shared
-    ``evaluator`` to reuse RTT statistics across repeated calls.
+    Scored by ``evaluator``, whose sampler config fixes the seed, so the
+    maximizer is reproducible; ties keep the lexicographically smallest
+    owner vector.
     """
     if len(paths) != plan.n_vstas:
         raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
-    if evaluator is None:
-        evaluator = ThroughputEvaluator(cfg)
     return _upper_bound_search(SearchTable(plan), [paths], evaluator)[0]
 
 

@@ -16,13 +16,21 @@ from .scenarios import (
     ALGORITHMS,
     ConfigError,
     Scenario,
-    apply_overrides,
-    builtin_scenarios,
+    builtin_configs,
     emit_csv,
-    load_scenario_file,
+    load_config,
     run_scenario,
+    scenario_from_config,
     schedule_records,
 )
+
+#: the scenario config keys that CLI flags replace; each flag's ``dest`` is its key
+_FLAG_KEYS = ("seed", "n_samples", "mean_fraction", "algorithms")
+
+
+def _names(text: str) -> list[str]:
+    """The names of a comma-separated list, without empty entries."""
+    return [a.strip() for a in text.split(",") if a.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,10 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="experiment seed (echoed in the CSV)")
     parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     parser.add_argument(
-        "--algorithms", default=None,
+        "--algorithms", type=_names, default=None,
         help=f"comma-separated subset of {', '.join(ALGORITHMS)}",
     )
-    parser.add_argument("--samples", type=int, default=None, help="RTT samples per VSTA and delay")
+    parser.add_argument(
+        "--samples", dest="n_samples", type=int, default=None,
+        help="RTT samples per VSTA and delay",
+    )
     parser.add_argument(
         "--mean-fraction", type=float, default=None,
         help="exponential send-offset mean as a fraction of the connected time",
@@ -56,23 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenarios(args) -> list[Scenario]:
+    """The configs ``--scenario`` names, with the flags given merged in, as scenarios."""
     if os.path.exists(args.scenario):
-        scenarios = [load_scenario_file(args.scenario)]
+        # a file scenario without a name key is named after its path
+        configs = [{"name": args.scenario, **load_config(args.scenario)}]
     else:
-        scenarios = builtin_scenarios(args.scenario)
-    algorithms = None
-    if args.algorithms is not None:
-        algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    return [
-        apply_overrides(
-            s,
-            seed=args.seed,
-            algorithms=algorithms,
-            n_samples=args.samples,
-            mean_fraction=args.mean_fraction,
-        )
-        for s in scenarios
-    ]
+        configs = builtin_configs(args.scenario)
+    overrides = {
+        key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None
+    }
+    return [scenario_from_config({**config, **overrides}) for config in configs]
 
 
 def _schedule_dump(scenario: Scenario, schedules: dict) -> str:

@@ -98,11 +98,9 @@ class RttSamplerConfig:
 
 @dataclass(frozen=True)
 class RttStats:
-    """Summary of sampled RTTs for one VSTA, in milliseconds."""
+    """Mean sampled RTT of one VSTA in milliseconds, over ``n`` samples."""
 
     mean_ms: float
-    min_ms: float
-    max_ms: float
     n: int
 
 
@@ -151,12 +149,7 @@ def sample_rtts(
     of ``vsta`` (see ``sweep_rtt_samples``).
     """
     (rtts,) = sweep_rtt_samples(_pattern_key(schedule, vsta), (path.delay_ms,), cfg)
-    return RttStats(
-        mean_ms=float(rtts.mean()),
-        min_ms=float(rtts.min()),
-        max_ms=float(rtts.max()),
-        n=cfg.n_samples,
-    )
+    return RttStats(mean_ms=float(rtts.mean()), n=cfg.n_samples)
 
 
 def sweep_rtt_samples(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -26,7 +26,13 @@ from .rttmodel import (
     ThroughputEvaluator,
     vsta_throughput,
 )
-from .schedule import DutyCycleSet, SlotSchedule, build_contiguous_schedule, derive_slot_plan
+from .schedule import (
+    DutyCycleSet,
+    SlotPlan,
+    SlotSchedule,
+    build_contiguous_schedule,
+    derive_slot_plan,
+)
 
 CSV_HEADER = (
     "scenario,algorithm,base_delay_ms,vsta,mean_rtt_ms,"
@@ -45,8 +51,19 @@ class ConfigError(ValueError):
     """Invalid or unknown scenario configuration field."""
 
 
+#: characters that would break the unquoted CSV if a scenario name held them
+_CSV_BREAKERS = (",", '"', "\r", "\n")
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """A delay sweep over one duty-cycle set, built by ``scenario_from_config``.
+
+    Empty ``delay_offsets_ms`` and ``loss_rates`` stand for the per-VSTA
+    defaults, which are filled in on construction; ``plan`` is the slot
+    plan of the duty cycles and slot time.
+    """
+
     name: str
     duty_cycles: DutyCycleSet
     slot_time_ms: float
@@ -56,16 +73,26 @@ class Scenario:
     mss_bytes: int = DEFAULT_MSS_BYTES
     sampler: RttSamplerConfig = field(default_factory=RttSamplerConfig)
     algorithms: tuple[str, ...] = ("nopolicy", "minmax")
+    plan: SlotPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.duty_cycles.n_vstas
+        if not isinstance(self.name, str) or any(c in self.name for c in _CSV_BREAKERS):
+            raise ConfigError(
+                f"name: expected a string without commas, quotes or line breaks, "
+                f"got {self.name!r}"
+            )
         if not self.delays_ms:
             raise ConfigError("delays_ms: sweep must be non-empty")
-        if self.delay_offsets_ms and len(self.delay_offsets_ms) != n:
+        if not self.delay_offsets_ms:
+            object.__setattr__(self, "delay_offsets_ms", (0.0,) * n)
+        if not self.loss_rates:
+            object.__setattr__(self, "loss_rates", (DEFAULT_LOSS_RATE,) * n)
+        if len(self.delay_offsets_ms) != n:
             raise ConfigError(
                 f"delay_offsets_ms: expected {n} entries, got {len(self.delay_offsets_ms)}"
             )
-        if self.loss_rates and len(self.loss_rates) != n:
+        if len(self.loss_rates) != n:
             raise ConfigError(
                 f"loss_rate: expected scalar or {n} entries, got {len(self.loss_rates)}"
             )
@@ -76,27 +103,32 @@ class Scenario:
                 )
         if not self.algorithms:
             raise ConfigError("algorithms: at least one algorithm required")
+        for key in ("algorithms", "delays_ms"):
+            # a repeat would write its CSV rows twice
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                raise ConfigError(f"{key}: an entry is listed more than once")
         try:
             # DutyCycleSet checked the duty cycles, so only the slot time can fail
             plan = derive_slot_plan(self.duty_cycles, self.slot_time_ms)
         except ValueError as exc:
             raise ConfigError(f"slot_time_ms: {exc}") from exc
+        object.__setattr__(self, "plan", plan)
         # chained comparisons are false for NaN
         for delay in self.delays_ms:
             if not 0.0 <= delay < math.inf:
                 raise ConfigError(f"delays_ms: expected finite delays >= 0, got {delay}")
-        for off in self.offsets():
+        for off in self.delay_offsets_ms:
             if not 0.0 <= min(self.delays_ms) + off < math.inf:
                 raise ConfigError(f"delay_offsets_ms: offset {off} gives an invalid path delay")
         # an ack lands up to a period plus the path delay after the period
         # starts, and a mean RTT sums n_samples such times
-        longest = plan.period_ms + (max(self.delays_ms) + max(self.offsets()))
+        longest = plan.period_ms + (max(self.delays_ms) + max(self.delay_offsets_ms))
         if not self.sampler.n_samples * longest < math.inf:
             raise ConfigError(
                 "delays_ms: n_samples times the period plus the largest path delay "
                 "is not finite"
             )
-        for p in self.losses():
+        for p in self.loss_rates:
             if not 0.0 < p < MAX_LOSS_RATE:
                 raise ConfigError(f"loss_rate: expected rates in (0, {MAX_LOSS_RATE}), got {p}")
         if not 0 < self.mss_bytes <= MAX_MSS_BYTES:
@@ -104,20 +136,10 @@ class Scenario:
                 f"mss_bytes: expected a size in 1..{MAX_MSS_BYTES}, got {self.mss_bytes}"
             )
 
-    def offsets(self) -> tuple[float, ...]:
-        if self.delay_offsets_ms:
-            return self.delay_offsets_ms
-        return (0.0,) * self.duty_cycles.n_vstas
-
-    def losses(self) -> tuple[float, ...]:
-        if self.loss_rates:
-            return self.loss_rates
-        return (DEFAULT_LOSS_RATE,) * self.duty_cycles.n_vstas
-
     def paths_at(self, base_delay: float) -> list[PathParams]:
         return [
             PathParams(delay_ms=base_delay + off, loss_rate=p, mss_bytes=self.mss_bytes)
-            for off, p in zip(self.offsets(), self.losses())
+            for off, p in zip(self.delay_offsets_ms, self.loss_rates)
         ]
 
 
@@ -188,11 +210,12 @@ def expand_delays(sweep) -> tuple[float, ...]:
     raise ConfigError("delays_ms: expected a list or a start/stop/step mapping")
 
 
-def scenario_from_config(config: dict, name: str = "custom") -> Scenario:
+def scenario_from_config(config: dict) -> Scenario:
     """Build a scenario from a flat configuration mapping.
 
     Unknown keys are errors: a silent typo would corrupt an experiment.
-    So are values of the wrong JSON type, which are never coerced.
+    So are values of the wrong JSON type, which are never coerced.  The
+    name defaults to ``custom``.
     """
     if not isinstance(config, dict):
         raise ConfigError("scenario config must be a mapping")
@@ -207,7 +230,7 @@ def scenario_from_config(config: dict, name: str = "custom") -> Scenario:
         duty = DutyCycleSet(fractions)
     except ValueError as exc:
         raise ConfigError(f"duty_cycles: {exc}") from exc
-    loss = config.get("loss_rate", DEFAULT_LOSS_RATE)
+    loss = config.get("loss_rate", ())
     loss_rates = _numbers("loss_rate", loss) if isinstance(loss, (list, tuple)) else (
         (_number("loss_rate", loss),) * duty.n_vstas
     )
@@ -224,7 +247,7 @@ def scenario_from_config(config: dict, name: str = "custom") -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
     return Scenario(
-        name=str(config.get("name", name)),
+        name=config.get("name", "custom"),
         duty_cycles=duty,
         slot_time_ms=_number("slot_time_ms", config["slot_time_ms"]),
         delays_ms=expand_delays(config["delays_ms"]),
@@ -245,13 +268,16 @@ def _json_integer(digits: str) -> int | float:
         return float(digits)
 
 
-def load_scenario_file(path: str) -> Scenario:
+def load_config(path: str) -> dict:
+    """The configuration mapping held by the JSON file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh, parse_int=_json_integer)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return scenario_from_config(config, name=path)
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: scenario config must be a mapping")
+    return config
 
 
 # built-in case -> (duty cycles, minimum slot time in ms, per-VSTA delay offsets)
@@ -262,43 +288,40 @@ _CASES = {
 }
 
 
-def builtin_scenarios(name: str, seed: int = DEFAULT_SEED) -> list[Scenario]:
-    """Preloaded scenario families; ``fig5`` expands to one scenario
-    per disconnection time of the single-AP validation sweep."""
-    sampler = RttSamplerConfig(seed=seed)
+def builtin_configs(name: str) -> list[dict]:
+    """Configuration mappings of a preloaded scenario family; ``fig5``
+    has one per disconnection time of the single-AP validation sweep."""
     if name in _CASES:
         duties, slot_time, offsets = _CASES[name]
-        return [Scenario(
-            name=name,
-            duty_cycles=DutyCycleSet(duties),
-            slot_time_ms=slot_time,
-            delays_ms=DEFAULT_SWEEP,
-            delay_offsets_ms=offsets,
-            sampler=sampler,
-        )]
+        return [{
+            "name": name,
+            "duty_cycles": list(duties),
+            "slot_time_ms": slot_time,
+            "delays_ms": list(DEFAULT_SWEEP),
+            "delay_offsets_ms": list(offsets),
+        }]
     if name == "fig5":
-        scenarios = []
-        for disconnection in (0.0, 15.0, 25.0, 50.0, 75.0):
-            if disconnection == 0.0:
-                duty = DutyCycleSet([1.0])
-                slot_time = 15.0
-            else:
-                # 50% duty cycle; the other half of the period is the
-                # disconnection, so T = 2 * disconnection.
-                duty = DutyCycleSet([0.5, 0.5])
-                slot_time = disconnection
-            scenarios.append(Scenario(
-                name=f"fig5_disc{disconnection:g}",
-                duty_cycles=duty,
-                slot_time_ms=slot_time,
-                delays_ms=DEFAULT_SWEEP,
-                sampler=sampler,
-                algorithms=("nopolicy",),
-            ))
-        return scenarios
+        # A disconnection d > 0 is a 50% duty cycle whose other half of
+        # the period is the disconnection, so T = 2 * d; at d = 0 a single
+        # VSTA is always connected.
+        return [
+            {
+                "name": f"fig5_disc{disconnection:g}",
+                "duty_cycles": [0.5, 0.5] if disconnection else [1.0],
+                "slot_time_ms": disconnection or 15.0,
+                "delays_ms": list(DEFAULT_SWEEP),
+                "algorithms": ["nopolicy"],
+            }
+            for disconnection in (0.0, 15.0, 25.0, 50.0, 75.0)
+        ]
     raise ConfigError(
         f"unknown built-in scenario {name!r}; valid names: case1, case2, case3, fig5"
     )
+
+
+def builtin_scenarios(name: str) -> list[Scenario]:
+    """The scenarios of ``builtin_configs(name)``."""
+    return [scenario_from_config(config) for config in builtin_configs(name)]
 
 
 @dataclass(frozen=True)
@@ -326,7 +349,7 @@ class _Sweep:
     """What the schedulers of one ``run_scenario`` call share."""
 
     def __init__(self, scenario: Scenario):
-        self.plan = derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
+        self.plan = scenario.plan
         self.paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
         self.evaluator = ThroughputEvaluator(scenario.sampler)
 
@@ -384,7 +407,13 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
             for v, path in enumerate(paths, start=1)
         ]
         ths = [vsta_throughput(path, rtt) for path, rtt in zip(paths, rtts)]
-        return rtts, ths, math.fsum(ths)
+        # the searches and ThroughputEvaluator.aggregate add up the VSTAs
+        # in order, so the aggregate is the number they maximize; sum()
+        # compensates float sums from Python 3.12 on
+        agg = 0.0
+        for th in ths:
+            agg += th
+        return rtts, ths, agg
 
     schedules: dict[str, SlotSchedule] = {}
     # results[alg][k]: (per-VSTA mean RTTs, throughputs, aggregate) at delay k
@@ -459,25 +488,3 @@ def schedule_records(schedule: SlotSchedule) -> str:
     ):
         lines.append(f"{owner - 1},{_fmt(duration)},{_fmt(start)}")
     return "\n".join(lines) + "\n"
-
-
-def apply_overrides(
-    scenario: Scenario,
-    seed: int | None = None,
-    algorithms: Sequence[str] | None = None,
-    n_samples: int | None = None,
-    mean_fraction: float | None = None,
-) -> Scenario:
-    """Scenario with CLI-level overrides applied."""
-    overrides = {"seed": seed, "n_samples": n_samples, "mean_fraction": mean_fraction}
-    try:
-        sampler = replace(
-            scenario.sampler, **{k: v for k, v in overrides.items() if v is not None}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
-    return replace(
-        scenario,
-        sampler=sampler,
-        algorithms=tuple(algorithms) if algorithms is not None else scenario.algorithms,
-    )

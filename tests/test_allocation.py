@@ -236,23 +236,23 @@ class TestUpperBoundAllocate:
     def test_dominates_heuristic(self, case2_plan):
         paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
         evaluator = ThroughputEvaluator(self.CFG)
-        result = upper_bound_allocate(
-            case2_plan, paths, self.CFG, evaluator=evaluator
-        )
+        result = upper_bound_allocate(case2_plan, paths, evaluator)
         heuristic = minmax_allocate(case2_plan).schedule
         assert result.objective_value >= evaluator.aggregate(heuristic, paths)
         assert result.evaluations == 280
 
     def test_deterministic(self, case3_plan):
         paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
-        a = upper_bound_allocate(case3_plan, paths, self.CFG)
-        b = upper_bound_allocate(case3_plan, paths, self.CFG)
+        a = upper_bound_allocate(case3_plan, paths, ThroughputEvaluator(self.CFG))
+        b = upper_bound_allocate(case3_plan, paths, ThroughputEvaluator(self.CFG))
         assert a.schedule.owners == b.schedule.owners
         assert a.objective_value == b.objective_value
 
     def test_path_count_checked(self, case2_plan):
         with pytest.raises(ValueError, match="paths"):
-            upper_bound_allocate(case2_plan, [PathParams(delay_ms=40.0)], self.CFG)
+            upper_bound_allocate(
+                case2_plan, [PathParams(delay_ms=40.0)], ThroughputEvaluator(self.CFG)
+            )
 
 
 class TestMaxDisconnectionConsistency:
@@ -352,7 +352,7 @@ class TestTableSearchMatchesBruteForce:
         for result in (
             blind_allocate(plan, "eq2"),
             blind_allocate(plan, "eq1", paths=paths),
-            upper_bound_allocate(plan, paths, self.CFG),
+            upper_bound_allocate(plan, paths, ThroughputEvaluator(self.CFG)),
         ):
             assert result.schedule.owners == (1, 2)
 
@@ -377,6 +377,6 @@ class TestTableSearchMatchesBruteForce:
                 plan, lambda s: looped.aggregate(s, paths), lambda a, b: a > b
             )
             assert (result.schedule.owners, result.objective_value, result.evaluations) == want
-            single = upper_bound_allocate(plan, paths, self.CFG, evaluator=singles)
+            single = upper_bound_allocate(plan, paths, singles)
             assert single == result
         assert swept._mean_rtt_cache == looped._mean_rtt_cache == singles._mean_rtt_cache

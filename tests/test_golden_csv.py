@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from minislot.scenarios import DEFAULT_SEED, builtin_scenarios, emit_csv, run_scenario
+from minislot.scenarios import builtin_scenarios, emit_csv, run_scenario
 
 ALL = ("nopolicy", "minmax", "eq1", "eq2", "upperbound")
 # 0 ms gives infinite throughputs and penalties, 10 ms sits where the
@@ -30,7 +30,7 @@ GOLDEN = {
 
 def scenario_csv(name):
     rows = []
-    for scenario in builtin_scenarios(name, seed=DEFAULT_SEED):
+    for scenario in builtin_scenarios(name):
         rows.extend(run_scenario(replace(scenario, delays_ms=DELAYS, algorithms=ALL)))
     return emit_csv(rows)
 

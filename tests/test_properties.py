@@ -11,10 +11,12 @@ from minislot.rttmodel import (
     PathParams,
     RttSamplerConfig,
     sample_rtts,
+    sweep_rtt_samples,
 )
 from minislot.schedule import (
     DutyCycleSet,
     SlotSchedule,
+    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     disconnection_costs,
@@ -134,10 +136,11 @@ class TestRttProperties:
         cfg = RttSamplerConfig(n_samples=300, seed=seed)
         path = PathParams(delay_ms=delay)
         for vsta in range(1, plan.n_vstas + 1):
-            stats = sample_rtts(schedule, vsta, path, cfg)
+            (rtts,) = sweep_rtt_samples(_pattern_key(schedule, vsta), (delay,), cfg)
             worst = max_disconnection(schedule, vsta)
-            assert stats.min_ms >= delay - 1e-9
-            assert stats.max_ms <= delay + worst + 1e-6
+            assert rtts.min() >= delay - 1e-9
+            assert rtts.max() <= delay + worst + 1e-6
+            stats = sample_rtts(schedule, vsta, path, cfg)
             assert sample_rtts(schedule, vsta, path, cfg) == stats
 
 

@@ -15,12 +15,14 @@ from minislot.rttmodel import (
     mathis_throughput,
     rtt_for_send_time,
     sample_rtts,
+    sweep_rtt_samples,
     vsta_seed,
     vsta_throughput,
 )
 from minislot.schedule import (
     DutyCycleSet,
     SlotSchedule,
+    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     max_disconnection,
@@ -116,12 +118,14 @@ class TestSampleRtts:
 
     def test_bounds(self, half_duty_schedule):
         worst = max_disconnection(half_duty_schedule, 1)
+        key = _pattern_key(half_duty_schedule, 1)
         for delay in (0.0, 25.0, 50.0, 130.0):
+            (rtts,) = sweep_rtt_samples(key, (delay,), self.CFG)
+            assert rtts.min() >= delay
+            assert rtts.max() <= delay + worst + 1e-9
             stats = sample_rtts(
                 half_duty_schedule, 1, PathParams(delay_ms=delay), self.CFG
             )
-            assert stats.min_ms >= delay
-            assert stats.max_ms <= delay + worst + 1e-9
             assert stats.n == self.CFG.n_samples
 
     def test_delay_multiple_of_period_is_exact(self, half_duty_schedule):
@@ -130,7 +134,8 @@ class TestSampleRtts:
             half_duty_schedule, 1, PathParams(delay_ms=100.0), self.CFG
         )
         assert stats.mean_ms == 100.0
-        assert stats.min_ms == 100.0 == stats.max_ms
+        (rtts,) = sweep_rtt_samples(_pattern_key(half_duty_schedule, 1), (100.0,), self.CFG)
+        assert rtts.min() == 100.0 == rtts.max()
 
     def test_matches_scalar_model(self, case2_contiguous):
         """The vectorized kernel must agree with the scalar RTT function."""

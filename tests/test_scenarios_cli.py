@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from minislot.allocation import SearchTable
 from minislot.cli import main
+from minislot.rttmodel import ThroughputEvaluator
 from minislot.scenarios import (
     CSV_HEADER,
     ConfigError,
-    apply_overrides,
+    builtin_configs,
     builtin_scenarios,
     emit_csv,
     expand_delays,
@@ -80,6 +81,16 @@ BAD_INPUTS = [
     # a period whose floats lie more than the 1e-9 ms tolerance apart
     ({"duty_cycles": [0.55, 0.45], "slot_time_ms": 7e9}, [], "slot_time_ms"),
     ({"duty_cycles": [0.7, 0.2, 0.1], "slot_time_ms": 7e7}, [], "slot_time_ms"),
+    # names that would break the unquoted CSV
+    ({"name": "a,b"}, [], "name"),
+    ({"name": ["x", 1]}, [], "name"),
+    ({"name": "a\nb"}, [], "name"),
+    ({"name": "a\rb"}, [], "name"),
+    ({"name": 'a"b'}, [], "name"),
+    # repeats that would write the same CSV rows twice
+    ({"algorithms": ["minmax", "minmax"]}, [], "algorithms"),
+    ({}, ["--algorithms", "nopolicy,nopolicy"], "algorithms"),
+    ({"delays_ms": [10, 10]}, [], "delays_ms"),
 ]
 
 SMALL_CONFIG = {
@@ -158,7 +169,7 @@ class TestScenarioFromConfig:
     def test_per_vsta_loss_rates(self):
         config = dict(SMALL_CONFIG, loss_rate=[0.001, 0.002])
         scenario = scenario_from_config(config)
-        assert scenario.losses() == (0.001, 0.002)
+        assert scenario.loss_rates == (0.001, 0.002)
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -288,6 +299,23 @@ class TestRunScenario:
                 sum(r.throughput_bps for r in per), rel=1e-12
             )
 
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_aggregate_is_the_evaluator_aggregate(self, name):
+        """The CSV aggregate is the sum the upper-bound search maximizes, bit for bit."""
+        (config,) = builtin_configs(name)
+        algorithms = ("nopolicy", "minmax", "eq2")
+        scenario = scenario_from_config(dict(config, algorithms=list(algorithms)))
+        run = run_scenario(scenario)
+        evaluator = ThroughputEvaluator(scenario.sampler)
+        aggregates = {
+            (r.algorithm, r.base_delay_ms): r.aggregate_bps for r in run if r.vsta == "all"
+        }
+        for delay in scenario.delays_ms:
+            paths = scenario.paths_at(delay)
+            for alg in algorithms:
+                want = evaluator.aggregate(run.schedules[alg], paths)
+                assert aggregates[alg, delay] == want, (alg, delay)
+
     def test_deterministic_bytes(self):
         scenario = scenario_from_config(dict(SMALL_CONFIG))
         a = emit_csv(run_scenario(scenario))
@@ -296,7 +324,7 @@ class TestRunScenario:
 
     def test_seed_echoed_and_changes_output(self):
         base = scenario_from_config(dict(SMALL_CONFIG))
-        other = apply_overrides(base, seed=43)
+        other = scenario_from_config(dict(SMALL_CONFIG, seed=43))
         assert emit_csv(run_scenario(base)) != emit_csv(run_scenario(other))
 
 
@@ -364,6 +392,22 @@ class TestCli:
         path = self._write_config(tmp_path, config)
         assert main(["--scenario", path]) == 3
         assert "exceed the enumeration budget of 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_builtin_flags_match_a_file_of_its_config(self, tmp_path, name):
+        """A flag replaces its config key: a built-in with flags writes the
+        bytes of a file holding the built-in's config with those keys."""
+        (config,) = builtin_configs(name)
+        path = self._write_config(
+            tmp_path, dict(config, seed=7, n_samples=200, algorithms=["nopolicy", "minmax"])
+        )
+        from_builtin, from_file = tmp_path / "builtin.csv", tmp_path / "file.csv"
+        assert main([
+            "--scenario", name, "--out", str(from_builtin),
+            "--seed", "7", "--samples", "200", "--algorithms", "nopolicy,minmax",
+        ]) == 0
+        assert main(["--scenario", path, "--out", str(from_file)]) == 0
+        assert from_builtin.read_bytes() == from_file.read_bytes()
 
     def test_algorithm_and_seed_overrides(self, tmp_path):
         path = self._write_config(tmp_path, SMALL_CONFIG)
