@@ -2,9 +2,11 @@
 
 Three ways to place the slots of a plan into the period:
 
-* ``minmax_allocate`` -- cheap heuristic that spreads each VSTA's
-  slots to minimize its worst index gap, serving VSTAs in descending
-  slot-count order.
+* ``minmax_allocate`` -- serves the VSTAs in descending slot-count
+  order; each takes the free positions that minimize its worst index
+  gap, exactly at every plan size and with no combination budget (the
+  pick runs in polynomial time), ties to the lexicographically smallest
+  choice.
 * ``blind_allocate`` -- exhaustive search over every feasible owner
   vector, maximizing the sum of inverse worst disconnection times
   (``eq2``) or minimizing the total model-throughput penalty (``eq1``,
@@ -22,8 +24,8 @@ computes one value per (VSTA, pattern) and gathers them into the rows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -35,9 +37,6 @@ from .schedule import SlotPlan, SlotSchedule, _pattern_key, max_disconnection, w
 #: row by row in Python (277,200 rows take about 12 s), so one at this
 #: bound already takes most of a minute
 MAX_OWNER_VECTORS = 1_000_000
-#: most slot combinations min-max scores for one VSTA before it falls back
-#: to picking the free position nearest each evenly spaced target
-MAX_COMBINATIONS = 1_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -53,6 +52,13 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """An allocator's schedule and its scores.
+
+    ``evaluations`` is the work done: the owner vectors scored, for the
+    exhaustive searches; for min-max, the completion checks of its
+    middle VSTAs' picks plus one each for the first and last VSTA.
+    """
+
     schedule: SlotSchedule
     per_vsta_max_disconnection: tuple[float, ...]
     objective_value: float
@@ -173,13 +179,6 @@ def _eq1_term(path: PathParams, worst: float) -> float:
     return ideal - mathis_throughput(path.mss_bytes, path.delay_ms + worst, path.loss_rate)
 
 
-def _circular_index_gaps(positions: Sequence[int], total_slots: int) -> list[int]:
-    pos = sorted(positions)
-    gaps = [pos[i + 1] - pos[i] for i in range(len(pos) - 1)]
-    gaps.append(pos[0] + total_slots - pos[-1])
-    return gaps
-
-
 def _evenly_spaced_positions(g: int, total_slots: int) -> list[int]:
     # for g <= G the step G/g is at least 1, so the rounded positions
     # strictly increase within 1..G
@@ -187,75 +186,106 @@ def _evenly_spaced_positions(g: int, total_slots: int) -> list[int]:
 
 
 def minmax_allocate(plan: SlotPlan) -> AllocationResult:
-    """Min-max disconnection-time heuristic.
+    """Min-max disconnection-time allocation.
 
     The VSTA with the most slots is placed first on maximally even
-    positions; each following VSTA picks, among the still-free
-    positions, the combination minimizing its maximum circular index
-    gap (ties to the lexicographically smallest choice); the last VSTA
-    takes the leftovers.
+    positions; each following VSTA takes, among the still-free
+    positions, the choice minimizing its maximum circular index gap,
+    exactly at every plan size with no combination budget (ties to the
+    lexicographically smallest choice); the last VSTA takes the leftovers.
     """
     total_slots = plan.total_slots
     order = sorted(
         range(1, plan.n_vstas + 1),
         key=lambda v: (-plan.slot_counts[v - 1], v),
     )
-    owner_of: dict[int, int] = {}
-    free = list(range(1, total_slots + 1))
-    evaluations = 0
-
     first = order[0]
-    chosen = _evenly_spaced_positions(plan.slot_counts[first - 1], total_slots)
-    evaluations += 1
-    for p in chosen:
-        owner_of[p] = first
-        free.remove(p)
-
+    owner_of = dict.fromkeys(
+        _evenly_spaced_positions(plan.slot_counts[first - 1], total_slots), first
+    )
+    evaluations = 1 + (len(order) > 1)  # the first VSTA and, if another, the last
     for vsta in order[1:-1]:
-        g = plan.slot_counts[vsta - 1]
-        n_combos = math.comb(len(free), g)
-        if n_combos <= MAX_COMBINATIONS:
-            best: tuple[int, ...] | None = None
-            best_gap = None
-            for combo in combinations(free, g):
-                evaluations += 1
-                gap = max(_circular_index_gaps(combo, total_slots))
-                if best_gap is None or gap < best_gap:
-                    best, best_gap = combo, gap
-            chosen = list(best)  # type: ignore[arg-type]
-        else:
-            chosen = _greedy_even_pick(free, g, total_slots)
-            evaluations += len(free)
-        for p in chosen:
-            owner_of[p] = vsta
-            free.remove(p)
-
-    if len(order) > 1:
-        last = order[-1]
-        evaluations += 1
-        for p in free:
-            owner_of[p] = last
-
-    owners = [owner_of[p] for p in range(1, total_slots + 1)]
+        free = [p for p in range(1, total_slots + 1) if p not in owner_of]
+        chosen, checks = _minmax_pick(free, plan.slot_counts[vsta - 1], total_slots)
+        owner_of.update(dict.fromkeys(chosen, vsta))
+        evaluations += checks
+    # the last VSTA takes the leftovers
+    owners = [owner_of.get(p, order[-1]) for p in range(1, total_slots + 1)]
     schedule = SlotSchedule.from_owners(plan, owners)
     return _result(schedule, eq2_objective(schedule), evaluations)
 
 
-def _greedy_even_pick(free: Sequence[int], g: int, total_slots: int) -> list[int]:
-    """Budget fallback: nearest free position to each ideal even target."""
-    remaining = list(free)
-    anchor = remaining[0]
-    chosen: list[int] = []
-    for k in range(g):
-        target = anchor + k * total_slots / g
+def _minmax_pick(free: Sequence[int], g: int, total_slots: int) -> tuple[list[int], int]:
+    """The ``g`` of the ascending ``free`` positions with the smallest
+    largest circular index gap, ties to the lexicographically smallest
+    choice, and the number of completion checks made.
 
-        def circ_dist(p: int) -> float:
-            d = abs(p - target) % total_slots
-            return min(d, total_slots - d)
-        pick = min(remaining, key=circ_dist)
-        chosen.append(pick)
-        remaining.remove(pick)
-    return sorted(chosen)
+    Bisects on the largest gap: every ``g`` positions have one of at
+    least ``ceil(total_slots / g)`` and at most ``total_slots``.
+    """
+    lo, hi = -(-total_slots // g), total_slots
+    best, checks = _smallest_within(free, g, total_slots, hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        chosen, n = _smallest_within(free, g, total_slots, mid)
+        checks += n
+        if chosen is None:
+            lo = mid + 1
+        else:
+            best, hi = chosen, mid
+    return best, checks  # type: ignore[return-value]
+
+
+def _smallest_within(
+    free: Sequence[int], g: int, total_slots: int, d: int
+) -> tuple[list[int] | None, int]:
+    """The lexicographically smallest ``g`` of the ascending ``free``
+    positions with every circular index gap at most ``d`` (None if there
+    is none), and the number of completion checks made.
+
+    Some choice qualifies iff, from some ``free[i]``, greedy furthest
+    jumps of at most ``d`` reach ``free[i] + total_slots - d``, which
+    closes the wrap gap, in at most ``g - 1`` more positions: a further
+    position never widens a gap, so any free ones pad the choice to
+    ``g``.  The smallest such ``free[i]`` starts the smallest choice, for
+    padding below it would start a smaller one.  Each following position
+    is the first whose jumps still fit into the positions left.  It comes
+    no later than the one some completion of the choice so far takes, so
+    it keeps both the gap from the previous position and the room to pad.
+    """
+    m = len(free)
+    # reach[j]: index of the furthest free position at most d after free[j]
+    reach = [bisect_right(free, f + d) - 1 for f in free]
+    checks = 0
+    for first in range(m):
+        if free[first] > d:  # the wrap gap is at least the first position
+            return None, checks
+        end = free[first] + total_slots - d
+        checks += 1
+        j = first
+        for _ in range(g - 1):
+            if free[j] >= end or reach[j] == j:
+                break
+            j = reach[j]
+        if free[j] >= end:
+            break
+    else:
+        return None, checks
+    # need[j]: fewest jumps from free[j] to a position at least end; it
+    # only falls as j grows
+    need = [0] * m
+    for j in reversed(range(first, m)):
+        if free[j] < end:
+            need[j] = m if reach[j] == j else 1 + need[reach[j]]
+    chosen = [first]
+    for k in range(2, g + 1):
+        j = chosen[-1] + 1
+        checks += 1
+        while k + need[j] > g:
+            j += 1
+            checks += 1
+        chosen.append(j)
+    return [free[j] for j in chosen], checks
 
 
 def blind_allocate(

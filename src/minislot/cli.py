@@ -2,7 +2,8 @@
 
 Runs a built-in or file-based scenario sweep and writes the result CSV
 to stdout or a file.  Exit status is 0 on success, 2 on configuration
-errors and 3 when an exhaustive algorithm would enumerate more than
+errors or an output path that cannot be written, and 3 when an
+exhaustive algorithm would enumerate more than
 ``allocation.MAX_OWNER_VECTORS`` owner vectors.
 """
 from __future__ import annotations
@@ -88,6 +89,18 @@ def _schedule_dump(scenario: Scenario, schedules: dict) -> str:
     )
 
 
+def _write(flag: str, path: str, text: str, newline: str | None = None) -> bool:
+    """Write ``text`` to the file at ``path``; False, after naming ``flag``
+    and ``path`` on stderr, if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"minislot: cannot write {flag} {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -105,12 +118,12 @@ def main(argv=None) -> int:
         print(f"minislot: {exc}", file=sys.stderr)
         return 3
     if args.dump_schedules:
-        with open(args.dump_schedules, "w", encoding="utf-8") as fh:
-            fh.write("".join(dump))
+        if not _write("--dump-schedules", args.dump_schedules, "".join(dump)):
+            return 2
     text = emit_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if not _write("--out", args.out, text, newline=""):
+            return 2
         print(f"minislot: wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -270,11 +270,13 @@ def _json_integer(digits: str) -> int | float:
 
 def load_config(path: str) -> dict:
     """The configuration mapping held by the JSON file at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh, parse_int=_json_integer)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:  # a directory or an unreadable file among them
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: scenario config must be a mapping")
     return config

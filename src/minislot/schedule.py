@@ -52,7 +52,10 @@ class DutyCycleSet:
             raise ValueError("duty-cycle set needs at least one VSTA")
         if any(not f > 0.0 for f in fracs):  # NaN is not positive either
             raise ValueError(f"duty cycles must be positive, got {fracs}")
-        total = math.fsum(fracs)
+        try:
+            total = math.fsum(fracs)
+        except OverflowError:  # a sum past the float range is far from one
+            total = math.inf
         if abs(total - 1.0) > DUTY_SUM_TOLERANCE:
             raise ValueError(
                 f"duty cycles must sum to 1 (got {total!r}, "

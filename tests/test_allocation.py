@@ -37,6 +37,23 @@ from minislot.schedule import (
 WORKED_PLAN = SlotPlan(period_ms=76.0, slot_counts=(3, 2, 1), slot_sizes_ms=(12.0, 15.0, 10.0))
 
 
+# slot counts -> min-max owners and worst gaps (ms) at 1 ms slots
+LARGER_PLANS = {
+    (12, 11, 10, 1): ("1221231321312312312313213123124123", (2, 3, 5, 33)),
+    (8, 7, 4, 1): ("12212131231231214123", (2, 3, 6, 19)),
+    (7, 6, 4, 2, 1): ("12312314213125123124", (2, 3, 5, 11, 19)),
+    (9, 7, 5, 3, 1): ("1231321412312413215123124", (2, 3, 5, 10, 24)),
+}
+
+
+def one_ms_plan(counts):
+    """The plan with these slot counts and 1 ms slots."""
+    total = sum(counts)
+    plan = derive_slot_plan(DutyCycleSet([g / total for g in counts]), 1.0)
+    assert plan.slot_counts == counts
+    return plan
+
+
 def make_worked_schedule():
     return SlotSchedule.from_owners(WORKED_PLAN, (1, 2, 3, 1, 2, 1))
 
@@ -144,12 +161,12 @@ class TestMinmaxAllocate:
         assert result.per_vsta_max_disconnection == pytest.approx(
             (12.5, 87.5, 37.5), abs=1e-9
         )
-        assert result.evaluations == 6
+        assert result.evaluations == 12
 
     def test_case1_reference(self, case1_plan):
         result = minmax_allocate(case1_plan)
         assert result.schedule.owners == (1, 2, 1, 3, 1, 4, 1, 5)
-        assert result.evaluations == 11
+        assert result.evaluations == 5
 
     def test_case3_reference(self, case3_plan):
         result = minmax_allocate(case3_plan)
@@ -157,7 +174,7 @@ class TestMinmaxAllocate:
         assert result.per_vsta_max_disconnection == pytest.approx(
             (12.5, 42.5, 90.0), abs=1e-6
         )
-        assert result.evaluations == 5
+        assert result.evaluations == 12
 
     def test_objective_matches_schedule(self, case2_plan):
         result = minmax_allocate(case2_plan)
@@ -170,17 +187,33 @@ class TestMinmaxAllocate:
         result = minmax_allocate(plan)
         assert result.schedule.owners == (1,)
 
-    def test_greedy_fallback(self):
-        """VSTA 2 faces C(41, 20) combinations, past the budget, so it takes
-        the nearest free position to each even target (owners as recorded
-        when the test was added)."""
-        plan = derive_slot_plan(DutyCycleSet([20 / 61] * 3 + [1 / 61]), 1.0)
-        assert plan.slot_counts == (20, 20, 20, 1)
+    @pytest.mark.parametrize("counts", LARGER_PLANS, ids=lambda c: "-".join(map(str, c)))
+    def test_larger_plans(self, counts):
+        """Owners and worst gaps (ms) as recorded when every middle VSTA
+        scored all of its slot combinations."""
+        owners, worst = LARGER_PLANS[counts]
+        result = minmax_allocate(one_ms_plan(counts))
+        assert result.schedule.owners == tuple(map(int, owners))
+        assert result.per_vsta_max_disconnection == pytest.approx(worst, abs=1e-9)
+
+    def test_exact_past_the_old_budget(self):
+        """Past 1,000,000 combinations min-max once took the free position
+        nearest each even target.  On (20, 20, 20, 1), where VSTA 2 faced
+        C(41, 20), the exact pick keeps that placement.  On (16, 14, 9, 1),
+        where VSTA 2 faced C(24, 14), lexicographic ties crowd VSTA 2 toward
+        the first free slots, and VSTA 3's worst gap grows from 5 to 9 ms."""
+        plan = one_ms_plan((20, 20, 20, 1))
         result = minmax_allocate(plan)
         assert result == minmax_allocate(plan)
         assert result.schedule.owners == (1, 2, 3) * 10 + (4,) + (1, 2, 3) * 10
-        # VSTA 1 on even positions, 41 for the fallback, 21 combinations, the last VSTA
-        assert result.evaluations == 1 + 41 + 21 + 1
+        # the completion checks of VSTAs 2 and 3, plus one each for VSTAs 1 and 4
+        assert result.evaluations == 367
+        crowded = minmax_allocate(one_ms_plan((16, 14, 9, 1)))
+        assert crowded.schedule.owners == tuple(
+            map(int, "1221212123123121312312312131231231214123")
+        )
+        assert crowded.per_vsta_max_disconnection == pytest.approx((2, 3, 9, 39), abs=1e-9)
+        assert crowded.evaluations == 163
 
     def test_evenly_spaced_positions_are_distinct(self):
         for total in range(1, 61):

@@ -1,12 +1,13 @@
 """Randomized invariants of the schedule, RTT and allocation layers."""
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from minislot.allocation import blind_allocate, eq2_objective, minmax_allocate
+from minislot.allocation import _minmax_pick, blind_allocate, eq2_objective, minmax_allocate
 from minislot.rttmodel import (
     PathParams,
     RttSamplerConfig,
@@ -49,6 +50,24 @@ def schedules(draw):
         owners.extend([vsta] * g)
     owners = draw(st.permutations(owners))
     return plan, SlotSchedule.from_owners(plan, owners)
+
+
+@st.composite
+def free_positions(draw):
+    """A period of at most 16 slots, an ascending free subset of its
+    positions 1..G and a slot count the subset can hold."""
+    total = draw(st.integers(min_value=1, max_value=16))
+    free = sorted(draw(st.sets(st.integers(min_value=1, max_value=total), min_size=1)))
+    g = draw(st.integers(min_value=1, max_value=len(free)))
+    return free, g, total
+
+
+def brute_force_minmax(free, g, total_slots):
+    """The first of the ``g``-combinations of ``free``, in lexicographic
+    order, with the smallest largest circular index gap."""
+    def largest_gap(combo):
+        return max(b - a for a, b in zip(combo, combo[1:] + (combo[0] + total_slots,)))
+    return list(min(combinations(free, g), key=largest_gap))
 
 
 def oracle_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
@@ -153,6 +172,13 @@ class TestAllocationProperties:
         best = blind_allocate(plan, "eq2").objective_value
         assert best >= eq2_objective(minmax_allocate(plan).schedule) - 1e-12
         assert best >= eq2_objective(build_contiguous_schedule(plan)) - 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(free_positions())
+    def test_minmax_pick_matches_brute_force(self, case):
+        free, g, total = case
+        chosen, _ = _minmax_pick(free, g, total)
+        assert chosen == brute_force_minmax(free, g, total)
 
 
 class TestAnalyticAgreement:

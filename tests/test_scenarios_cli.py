@@ -67,6 +67,7 @@ BAD_INPUTS = [
     ({"delays_ms": {"start": 0, "stop": 1e9, "step": 1e-9}}, [], "delays_ms"),
     ({"duty_cycles": [1e-9, 1 - 1e-9]}, [], "duty_cycles"),
     ({"duty_cycles": [1e-320, 1.0]}, [], "duty_cycles"),
+    ({"duty_cycles": [1e308, 1e308]}, [], "duty_cycles"),
     ({"slot_time_ms": 1e308}, [], "slot_time_ms"),
     ({"slot_time_ms": 1e-12}, [], "slot_time_ms"),
     ({"n_samples": 10**13}, [], "n_samples"),
@@ -385,6 +386,19 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["--scenario", str(path)]) == 2
+
+    def test_directory_scenario_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["--scenario", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-schedules"])
+    def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys, flag):
+        path = self._write_config(tmp_path, SMALL_CONFIG)
+        target = str(tmp_path / "missing" / "file")
+        assert main(["--scenario", path, flag, target]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {flag} {target}" in err
 
     def test_budget_exit_code(self, tmp_path, capsys):
         # ten single-slot VSTAs have 10! = 3,628,800 owner vectors
