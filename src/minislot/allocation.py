@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .rttmodel import PathParams, ThroughputEvaluator, mathis_throughput, vsta_throughput
-from .schedule import SlotPlan, SlotSchedule, _pattern_key, max_disconnection, worst_gap
+from .schedule import SlotPlan, SlotSchedule, max_disconnection, window_pattern, worst_gap
 
 #: most owner vectors an exhaustive search enumerates; the table is built
 #: row by row in Python (277,200 rows take about 12 s), so one at this
@@ -121,7 +121,7 @@ class SearchTable:
 
     * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
-      ``keys[v - 1][id]`` is its ``_pattern_key``.
+      ``keys[v - 1][id]`` is its ``window_pattern``.
     """
 
     def __init__(self, plan: SlotPlan):
@@ -135,7 +135,7 @@ class SearchTable:
         for s, schedule in enumerate(schedules):
             self.owners[s] = schedule.owners
             for v, ids in enumerate(interned, start=1):
-                self.pattern[s, v - 1] = ids.setdefault(_pattern_key(schedule, v), len(ids))
+                self.pattern[s, v - 1] = ids.setdefault(window_pattern(schedule, v), len(ids))
         self.keys = [list(ids) for ids in interned]
 
     def schedule(self, s: int) -> SlotSchedule:
@@ -372,7 +372,7 @@ def _upper_bound_search(
 ) -> list[AllocationResult]:
     """``upper_bound_allocate`` over a prebuilt table, for each entry of ``paths_by_delay``.
 
-    Each row scores ``evaluator.aggregate`` bit for bit.  A VSTA's
+    Each row scores the ``run_scenario`` aggregate bit for bit.  A VSTA's
     throughput depends on the row only through its window pattern, so
     it is computed once per (pattern, delay) and gathered into the rows.
     """

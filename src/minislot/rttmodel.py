@@ -8,9 +8,11 @@ after each reconnection: a send starts at one of the VSTA's
 reconnections, picked in proportion to the length of the window it
 opens, and follows it by an exponential offset measured in connected
 time.  The period's origin plays no part, so rotating a schedule moves
-the sampled mean RTT only by sampling noise.  Throughput follows from
-the mean observed RTT via the steady-state Reno approximation
-``MSS / (RTT * sqrt(p))``.
+the sampled mean RTT only by sampling noise.  Send times depend on a
+schedule only through the VSTA's ``window_pattern`` and not on the wired
+delay, so ``sample_rtts`` draws them once for a whole delay sweep.
+Throughput follows from the mean observed RTT via the steady-state Reno
+approximation ``MSS / (RTT * sqrt(p))``.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._kernels import rtt_samples, send_times
-from .schedule import SlotSchedule, _pattern_key, connected_intervals
+from .schedule import SlotSchedule, connected_intervals, window_pattern
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
@@ -98,9 +100,9 @@ class RttSamplerConfig:
 
 @dataclass(frozen=True)
 class RttStats:
-    """Mean sampled RTT of one VSTA in milliseconds, over ``n`` samples."""
+    """Mean sampled RTT in ms at each delay of a sweep, each over the same ``n`` sends."""
 
-    mean_ms: float
+    means_ms: tuple[float, ...]
     n: int
 
 
@@ -141,15 +143,15 @@ def _wait_until_connected(
 
 
 def sample_rtts(
-    schedule: SlotSchedule, vsta: int, path: PathParams, cfg: RttSamplerConfig
+    pattern: tuple, delays_ms: Sequence[float], cfg: RttSamplerConfig
 ) -> RttStats:
-    """Monte-Carlo RTT summary for ``vsta``; deterministic per seed.
+    """Monte-Carlo mean RTT under a window pattern at each delay; deterministic per seed.
 
-    The samples depend on the schedule only through the window pattern
-    of ``vsta`` (see ``sweep_rtt_samples``).
+    The package draws send times only here: one draw serves every delay,
+    and each mean is, bit for bit, that of a one-delay call with the same seed.
     """
-    (rtts,) = sweep_rtt_samples(_pattern_key(schedule, vsta), (path.delay_ms,), cfg)
-    return RttStats(mean_ms=float(rtts.mean()), n=cfg.n_samples)
+    means = tuple(float(rtts.mean()) for rtts in sweep_rtt_samples(pattern, delays_ms, cfg))
+    return RttStats(means_ms=means, n=cfg.n_samples)
 
 
 def sweep_rtt_samples(
@@ -157,11 +159,11 @@ def sweep_rtt_samples(
 ) -> Iterator[np.ndarray]:
     """Sampled RTTs under a window pattern at each delay, from one draw of send times.
 
-    ``pattern`` is a ``_pattern_key``.  Its windows are laid out from
+    ``pattern`` is a ``window_pattern``.  Its windows are laid out from
     time 0: each window starts where the previous one's gap ends, and
     the last gap closes the period.  Every schedule with the pattern
     thus gets the same samples, and every delay sees the same sends,
-    exactly as separate ``sample_rtts`` calls with the same seed would.
+    exactly as separate one-delay calls with the same seed would.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
@@ -231,9 +233,11 @@ class ThroughputEvaluator:
 
     A VSTA's sampled RTTs depend on the schedule only through the cyclic
     pattern of its connected windows and the gaps between them
-    (``_pattern_key``), so every schedule with that pattern reads the
-    same mean, whichever schedule asked first.  The order in which
-    algorithms or search rows are evaluated moves no bit.
+    (``window_pattern``), so every schedule with that pattern reads the
+    same mean, whichever schedule asked first.  Each ``pattern_means``
+    call draws once, so passing a whole sweep draws once per (VSTA,
+    pattern).  The order in which algorithms or search rows are
+    evaluated moves no bit.
     """
 
     def __init__(self, cfg: RttSamplerConfig):
@@ -241,34 +245,19 @@ class ThroughputEvaluator:
         self._mean_rtt_cache: dict[tuple, float] = {}
 
     def mean_rtt(self, schedule: SlotSchedule, vsta: int, delay_ms: float) -> float:
-        key = (vsta, delay_ms, _pattern_key(schedule, vsta))
-        if key not in self._mean_rtt_cache:
-            path = PathParams(delay_ms=delay_ms)
-            stats = sample_rtts(schedule, vsta, path, self._vsta_cfg(vsta))
-            self._mean_rtt_cache[key] = stats.mean_ms
-        return self._mean_rtt_cache[key]
+        return self.pattern_means(vsta, window_pattern(schedule, vsta), (delay_ms,))[0]
 
     def pattern_means(self, vsta: int, pattern: tuple, delays_ms: Sequence[float]) -> list[float]:
         """Mean RTT of ``vsta`` under ``pattern`` at each delay.
 
-        The delays not cached yet are sampled from one draw of send times.
+        The delays not cached yet are sampled with one ``sample_rtts`` call.
         """
         cache = self._mean_rtt_cache
         missing = [d for d in dict.fromkeys(delays_ms) if (vsta, d, pattern) not in cache]
         if missing:
-            samples = sweep_rtt_samples(pattern, missing, self._vsta_cfg(vsta))
-            for delay, rtts in zip(missing, samples):
-                cache[vsta, delay, pattern] = float(rtts.mean())
+            means = sample_rtts(pattern, missing, self._vsta_cfg(vsta)).means_ms
+            cache.update(((vsta, d, pattern), m) for d, m in zip(missing, means))
         return [cache[vsta, d, pattern] for d in delays_ms]
 
     def _vsta_cfg(self, vsta: int) -> RttSamplerConfig:
         return replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
-
-    def aggregate(self, schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
-        """Sum of ``vsta_throughput`` over the VSTAs, in order."""
-        if len(paths) != schedule.n_vstas:
-            raise ValueError(f"expected {schedule.n_vstas} paths, got {len(paths)}")
-        total = 0.0
-        for vsta, path in enumerate(paths, start=1):
-            total += vsta_throughput(path, self.mean_rtt(schedule, vsta, path.delay_ms))
-        return total

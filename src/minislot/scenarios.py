@@ -32,6 +32,7 @@ from .schedule import (
     SlotSchedule,
     build_contiguous_schedule,
     derive_slot_plan,
+    window_pattern,
 )
 
 CSV_HEADER = (
@@ -397,7 +398,8 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     """Full sweep of a scenario; fully deterministic given the seed.
 
     The nopolicy baseline and then each listed algorithm is built and
-    evaluated at every swept delay.
+    evaluated at every swept delay.  Each VSTA of a delay-independent
+    schedule is sampled once for the whole sweep.
     """
     sweep = _Sweep(scenario)
     n = sweep.plan.n_vstas
@@ -409,9 +411,9 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
             for v, path in enumerate(paths, start=1)
         ]
         ths = [vsta_throughput(path, rtt) for path, rtt in zip(paths, rtts)]
-        # the searches and ThroughputEvaluator.aggregate add up the VSTAs
-        # in order, so the aggregate is the number they maximize; sum()
-        # compensates float sums from Python 3.12 on
+        # the upper-bound search adds up the VSTAs in order, so the
+        # aggregate is the number it maximizes; sum() compensates float
+        # sums from Python 3.12 on
         agg = 0.0
         for th in ths:
             agg += th
@@ -426,6 +428,9 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         built = _SCHEDULERS[alg](sweep)
         if isinstance(built, SlotSchedule):
             schedules[alg] = built
+            for v, v_paths in enumerate(zip(*sweep.paths_by_delay), start=1):
+                delays = [path.delay_ms for path in v_paths]
+                sweep.evaluator.pattern_means(v, window_pattern(built, v), delays)
             built = [built] * len(sweep.paths_by_delay)
         results[alg] = [evaluate(s, paths) for s, paths in zip(built, sweep.paths_by_delay)]
 

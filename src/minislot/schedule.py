@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 #: tolerance accepted on a duty-cycle sum before rejecting the input
@@ -21,13 +22,13 @@ DUTY_SUM_TOLERANCE = 1e-6
 #: tolerance used for exact time comparisons (milliseconds)
 TIME_TOLERANCE = 1e-9
 #: most slots a plan may have.  Schedules are built and scanned slot by
-#: slot in Python, in time that grows about with the square of the slot
-#: count: a run at this bound takes seconds, one at a million slots hours.
+#: slot in Python: a one-delay ``nopolicy,minmax`` run at this bound took
+#: 0.18 s on a 2-core machine (slot counts 5000,3000,1999,1; 100 samples).
 MAX_TOTAL_SLOTS = 10_000
-#: shortest slot time; ``_pattern_key`` rounds window times to 1e-9 ms,
+#: shortest slot time; ``window_pattern`` rounds window times to 1e-9 ms,
 #: a millionth of this
 MIN_SLOT_TIME_MS = 1e-3
-#: longest period.  Adjacent slots merge, and pattern keys round, within
+#: longest period.  Adjacent slots merge, and window patterns round, within
 #: ``TIME_TOLERANCE``.  Floats near this bound are 1.2e-10 ms apart; above
 #: about 8e6 ms they are more than 1e-9 ms apart and adjacent slots split.
 MAX_PERIOD_MS = 1_000_000.0
@@ -152,7 +153,12 @@ class SlotSchedule:
                     f"owner vector gives it {seen}"
                 )
         durations = tuple(plan.slot_sizes_ms[o - 1] for o in owners)
-        starts = tuple(math.fsum(durations[:j]) for j in range(len(owners)))
+        # exact running sums in units of the sizes' finest power-of-two step
+        ratios = [size.as_integer_ratio() for size in plan.slot_sizes_ms]
+        den = max(q for _, q in ratios)
+        units = [p * (den // q) for p, q in ratios]
+        sums = accumulate((units[o - 1] for o in owners[:-1]), initial=0)
+        starts = tuple(t / den for t in sums)  # int / int rounds once, as math.fsum does
         object.__setattr__(self, "durations_ms", durations)
         object.__setattr__(self, "start_times_ms", starts)
 
@@ -245,7 +251,7 @@ def connected_intervals(schedule: SlotSchedule, vsta: int) -> list[tuple[float, 
     return intervals
 
 
-def _pattern_key(schedule: SlotSchedule, vsta: int) -> tuple:
+def window_pattern(schedule: SlotSchedule, vsta: int) -> tuple:
     """Each window's (length, gap to the next window) in ms, rounded, from the first window."""
     intervals = connected_intervals(schedule, vsta)
     period = schedule.period_ms
@@ -258,10 +264,10 @@ def _pattern_key(schedule: SlotSchedule, vsta: int) -> tuple:
 
 
 def worst_gap(pattern: tuple) -> float:
-    """Largest gap of a ``_pattern_key``: the worst disconnection time in ms."""
+    """Largest gap of a ``window_pattern``: the worst disconnection time in ms."""
     return max(gap for _, gap in pattern)
 
 
 def max_disconnection(schedule: SlotSchedule, vsta: int) -> float:
-    """Worst-case off-air time of ``vsta``, read from its pattern key; 0 if it owns every slot."""
-    return worst_gap(_pattern_key(schedule, vsta))
+    """Worst-case off-air time of ``vsta``, read from its window pattern; 0 if it owns every slot."""
+    return worst_gap(window_pattern(schedule, vsta))

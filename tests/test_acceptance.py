@@ -18,7 +18,6 @@ from minislot.allocation import (
     schedule_count,
 )
 from minislot.rttmodel import (
-    PathParams,
     RttSamplerConfig,
     sample_rtts,
     sweep_rtt_samples,
@@ -29,11 +28,11 @@ from minislot.schedule import (
     DutyCycleSet,
     SlotPlan,
     SlotSchedule,
-    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     disconnection_costs,
     max_disconnection,
+    window_pattern,
 )
 
 CASES = ("case1", "case2", "case3")
@@ -184,17 +183,13 @@ def test_criterion_8_rtt_plateau():
     plan = derive_slot_plan(disc50.duty_cycles, disc50.slot_time_ms)
     schedule = build_contiguous_schedule(plan)
     cfg = replace(disc50.sampler, seed=vsta_seed(disc50.sampler.seed, 1))
-    mean50 = sample_rtts(schedule, 1, PathParams(delay_ms=50.0), cfg).mean_ms
-    mean100 = sample_rtts(schedule, 1, PathParams(delay_ms=100.0), cfg).mean_ms
+    mean50, mean100 = sample_rtts(window_pattern(schedule, 1), (50.0, 100.0), cfg).means_ms
     plateau = abs(mean50 - mean100) / mean100
 
     disc0 = scenarios["fig5_disc0"]
     plan0 = derive_slot_plan(disc0.duty_cycles, disc0.slot_time_ms)
     schedule0 = build_contiguous_schedule(plan0)
-    exact = all(
-        sample_rtts(schedule0, 1, PathParams(delay_ms=d), cfg).mean_ms == d
-        for d in DEFAULT_SWEEP
-    )
+    exact = sample_rtts(window_pattern(schedule0, 1), DEFAULT_SWEEP, cfg).means_ms == DEFAULT_SWEEP
     report(
         8, "RTT plateau",
         plateau <= 0.15 and exact,
@@ -221,12 +216,13 @@ def test_criterion_9_property_suite():
         # RTT bounds and per-seed determinism
         cfg = RttSamplerConfig(n_samples=200, seed=int(rng.integers(1 << 30)))
         delay = float(rng.uniform(0.0, 150.0))
-        (rtts,) = sweep_rtt_samples(_pattern_key(schedule, 1), (delay,), cfg)
+        key = window_pattern(schedule, 1)
+        (rtts,) = sweep_rtt_samples(key, (delay,), cfg)
         worst = max_disconnection(schedule, 1)
         checks.append(rtts.min() >= delay - 1e-9)
         checks.append(rtts.max() <= delay + worst + 1e-6)
-        stats = sample_rtts(schedule, 1, PathParams(delay_ms=delay), cfg)
-        checks.append(sample_rtts(schedule, 1, PathParams(delay_ms=delay), cfg) == stats)
+        stats = sample_rtts(key, (delay,), cfg)
+        checks.append(sample_rtts(key, (delay,), cfg) == stats)
 
         # rotation invariance of the allocation objective
         k = int(rng.integers(1, schedule.n_slots))
@@ -250,7 +246,7 @@ def test_criterion_9_property_suite():
     plan_half = derive_slot_plan(DutyCycleSet([0.5, 0.5]), 50.0)
     schedule_half = build_contiguous_schedule(plan_half)
     cfg = RttSamplerConfig(seed=vsta_seed(DEFAULT_SEED, 1))
-    stats = sample_rtts(schedule_half, 1, PathParams(delay_ms=50.0), cfg)
+    (sampled,) = sample_rtts(window_pattern(schedule_half, 1), (50.0,), cfg).means_ms
     window, mean = 50.0, 12.5
     # E[t mod window] for an exponential send offset, in closed form
     wrapped_mean = mean - window * math.exp(-window / mean) / (
@@ -261,7 +257,7 @@ def test_criterion_9_property_suite():
         np.random.default_rng(cfg.seed).exponential(mean, cfg.n_samples) % window
     )
     stderr = float(np.std(samples, ddof=1)) / math.sqrt(cfg.n_samples)
-    checks.append(abs(stats.mean_ms - analytic) <= 3.0 * stderr)
+    checks.append(abs(sampled - analytic) <= 3.0 * stderr)
 
     report(
         9, "property suite",

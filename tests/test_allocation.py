@@ -27,10 +27,10 @@ from minislot.schedule import (
     DutyCycleSet,
     SlotPlan,
     SlotSchedule,
-    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     max_disconnection,
+    window_pattern,
 )
 
 # the worked three-VSTA example: owners [1,2,3,1,2,1], slot sizes 12/15/10 ms
@@ -266,12 +266,12 @@ class TestBlindAllocate:
 class TestUpperBoundAllocate:
     CFG = RttSamplerConfig(n_samples=500, seed=3)
 
-    def test_dominates_heuristic(self, case2_plan):
+    def test_dominates_heuristic(self, case2_plan, aggregate):
         paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
         evaluator = ThroughputEvaluator(self.CFG)
         result = upper_bound_allocate(case2_plan, paths, evaluator)
         heuristic = minmax_allocate(case2_plan).schedule
-        assert result.objective_value >= evaluator.aggregate(heuristic, paths)
+        assert result.objective_value >= aggregate(evaluator, heuristic, paths)
         assert result.evaluations == 280
 
     def test_deterministic(self, case3_plan):
@@ -292,13 +292,13 @@ class TestMaxDisconnectionConsistency:
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
     def test_is_the_largest_pattern_gap(self, name):
         """The searches score patterns, so the worst disconnection must be
-        read from the pattern key bit for bit; case3's slot sizes are not
+        read from the window pattern bit for bit; case3's slot sizes are not
         exact, and a walk over the slots differs there by up to 3.3e-10 ms."""
         plan = plan_named(name)
         schedules, _ = enumerate_schedules(plan)
         for schedule in schedules:
             for v in range(1, plan.n_vstas + 1):
-                gaps = [gap for _, gap in _pattern_key(schedule, v)]
+                gaps = [gap for _, gap in window_pattern(schedule, v)]
                 assert max_disconnection(schedule, v) == max(gaps)
 
     def test_results_agree_with_schedule_module(self, case3_plan):
@@ -349,7 +349,7 @@ class TestSearchTable:
             assert table.schedule(s) == schedule
             for v in range(1, plan.n_vstas + 1):
                 pid = table.pattern[s, v - 1]
-                assert table.keys[v - 1][pid] == _pattern_key(schedule, v)
+                assert table.keys[v - 1][pid] == window_pattern(schedule, v)
         for v in range(plan.n_vstas):
             # distinct ids have distinct keys
             assert len(set(table.keys[v])) == len(table.keys[v])
@@ -390,7 +390,7 @@ class TestTableSearchMatchesBruteForce:
             assert result.schedule.owners == (1, 2)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_upper_bound_sweep(self, name):
+    def test_upper_bound_sweep(self, name, aggregate):
         """Winners, scores and the evaluator's cache match one search per delay.
 
         Delay 0 gives zero mean RTTs, hence infinite aggregates; the
@@ -407,7 +407,7 @@ class TestTableSearchMatchesBruteForce:
         singles = ThroughputEvaluator(self.CFG)
         for paths, result in zip(paths_by_delay, results):
             want = brute_force(
-                plan, lambda s: looped.aggregate(s, paths), lambda a, b: a > b
+                plan, lambda s: aggregate(looped, s, paths), lambda a, b: a > b
             )
             assert (result.schedule.owners, result.objective_value, result.evaluations) == want
             single = upper_bound_allocate(plan, paths, singles)

@@ -8,20 +8,16 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from minislot.allocation import _minmax_pick, blind_allocate, eq2_objective, minmax_allocate
-from minislot.rttmodel import (
-    PathParams,
-    RttSamplerConfig,
-    sample_rtts,
-    sweep_rtt_samples,
-)
+from minislot.rttmodel import RttSamplerConfig, sample_rtts, sweep_rtt_samples
 from minislot.schedule import (
     DutyCycleSet,
+    SlotPlan,
     SlotSchedule,
-    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     disconnection_costs,
     max_disconnection,
+    window_pattern,
 )
 
 
@@ -50,6 +46,22 @@ def schedules(draw):
         owners.extend([vsta] * g)
     owners = draw(st.permutations(owners))
     return plan, SlotSchedule.from_owners(plan, owners)
+
+
+@st.composite
+def sized_schedules(draw):
+    """A random owner permutation of a plan with arbitrary slot sizes.
+
+    The sizes span nine decades and are not derived from duty cycles, so
+    a start time rounded from intermediate sums would show.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    sizes = draw(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
+    owners = [vsta for vsta, g in enumerate(counts, start=1) for _ in range(g)]
+    period = math.fsum(g * size for g, size in zip(counts, sizes))
+    plan = SlotPlan(period_ms=period, slot_counts=tuple(counts), slot_sizes_ms=tuple(sizes))
+    return SlotSchedule.from_owners(plan, draw(st.permutations(owners)))
 
 
 @st.composite
@@ -90,6 +102,14 @@ def oracle_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
 
 
 class TestScheduleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(schedules().map(lambda plan_schedule: plan_schedule[1]), sized_schedules()))
+    def test_start_times_are_exact_prefix_sums(self, schedule):
+        durations = schedule.durations_ms
+        assert schedule.start_times_ms == tuple(
+            math.fsum(durations[:j]) for j in range(len(durations))
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(schedules())
     def test_cost_conservation(self, plan_schedule):
@@ -111,8 +131,8 @@ class TestScheduleProperties:
     @settings(max_examples=60, deadline=None)
     @given(schedules())
     def test_max_disconnection_is_the_largest_cost(self, plan_schedule):
-        """The worst gap read from the pattern key is the largest per-slot
-        cost, up to the key's rounding to 1e-9 ms."""
+        """The worst gap read from the window pattern is the largest per-slot
+        cost, up to the pattern's rounding to 1e-9 ms."""
         plan, schedule = plan_schedule
         for vsta in range(1, plan.n_vstas + 1):
             worst = max(disconnection_costs(schedule, vsta))
@@ -153,14 +173,31 @@ class TestRttProperties:
     def test_rtt_bounds_and_determinism(self, plan_schedule, delay, seed):
         plan, schedule = plan_schedule
         cfg = RttSamplerConfig(n_samples=300, seed=seed)
-        path = PathParams(delay_ms=delay)
         for vsta in range(1, plan.n_vstas + 1):
-            (rtts,) = sweep_rtt_samples(_pattern_key(schedule, vsta), (delay,), cfg)
+            key = window_pattern(schedule, vsta)
+            (rtts,) = sweep_rtt_samples(key, (delay,), cfg)
             worst = max_disconnection(schedule, vsta)
             assert rtts.min() >= delay - 1e-9
             assert rtts.max() <= delay + worst + 1e-6
-            stats = sample_rtts(schedule, vsta, path, cfg)
-            assert sample_rtts(schedule, vsta, path, cfg) == stats
+            stats = sample_rtts(key, (delay,), cfg)
+            assert sample_rtts(key, (delay,), cfg) == stats
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        schedules(),
+        st.lists(st.floats(min_value=0.0, max_value=250.0), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_sweep_mean_is_the_one_delay_mean(self, plan_schedule, delays, seed):
+        """One draw for a sweep gives each delay the bits of a one-delay draw."""
+        plan, schedule = plan_schedule
+        cfg = RttSamplerConfig(n_samples=300, seed=seed)
+        for vsta in range(1, plan.n_vstas + 1):
+            key = window_pattern(schedule, vsta)
+            swept = sample_rtts(key, delays, cfg).means_ms
+            assert len(swept) == len(delays)
+            for mean, delay in zip(swept, delays):
+                assert mean == sample_rtts(key, (delay,), cfg).means_ms[0]
 
 
 class TestAllocationProperties:
@@ -193,7 +230,7 @@ class TestAnalyticAgreement:
         plan = derive_slot_plan(DutyCycleSet([0.5, 0.5]), 50.0)
         schedule = build_contiguous_schedule(plan)
         cfg = RttSamplerConfig(seed=12345 ^ 1)
-        stats = sample_rtts(schedule, 1, PathParams(delay_ms=50.0), cfg)
+        (sampled,) = sample_rtts(window_pattern(schedule, 1), (50.0,), cfg).means_ms
 
         window, mean = 50.0, 0.25 * 50.0
 
@@ -210,4 +247,4 @@ class TestAnalyticAgreement:
         rng = np.random.default_rng(cfg.seed)
         samples = rng.exponential(mean, cfg.n_samples) % window
         stderr = float(np.std(100.0 - samples, ddof=1)) / math.sqrt(cfg.n_samples)
-        assert abs(stats.mean_ms - analytic_mean) <= 3.0 * stderr
+        assert abs(sampled - analytic_mean) <= 3.0 * stderr

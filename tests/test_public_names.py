@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` wraps the functions named in its ``TARGETS`` by
 module and attribute; a renamed or deleted one would only show up in a
-benchmark run.  The tracer module is read from its source file, not
-imported, so nothing is written next to it.
+benchmark run.  The benchmark's modules are read from their source
+files, not imported, so nothing is written next to them.
 """
 import importlib
 import types
@@ -12,17 +12,20 @@ from pathlib import Path
 import pytest
 
 import minislot
+from minislot.cli import main
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def tracer_targets():
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(module))
-    return module.TARGETS
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-TARGETS = tracer_targets()
+def load(name):
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+TRACER = load("tracer")
+TARGETS = TRACER.TARGETS
 
 
 @pytest.mark.parametrize("name", minislot.__all__)
@@ -41,3 +44,18 @@ def test_traced_target_resolves(module_name, attr):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_smoke_call_reaches_the_traced_draws(tmp_path):
+    """The benchmark's smoke call runs the traced draw, lookup and kernel.
+
+    Its gate wants every layer metric non-zero, so a draw that moved
+    out of the traced functions would fail it.
+    """
+    (call,) = load("workloads").SMOKE_CALLS
+    tracer = TRACER.Tracer()
+    with TRACER.traced(tracer):
+        assert main([*call, "--out", str(tmp_path / "smoke.csv")]) == 0
+    for name in ("rttmodel.sample_rtts", "rttmodel.mean_rtt", "kernels.rtt_samples"):
+        assert tracer.spans[name].calls >= 1, name
+    assert tracer.counters["rttmodel.samples_drawn"] > 0

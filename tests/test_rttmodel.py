@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from minislot import rttmodel
 from minislot._kernels import rtt_samples, send_times
 from minislot.allocation import minmax_allocate
 from minislot.rttmodel import (
@@ -22,10 +23,10 @@ from minislot.rttmodel import (
 from minislot.schedule import (
     DutyCycleSet,
     SlotSchedule,
-    _pattern_key,
     build_contiguous_schedule,
     derive_slot_plan,
     max_disconnection,
+    window_pattern,
 )
 
 
@@ -105,36 +106,35 @@ class TestSampleRtts:
     CFG = RttSamplerConfig(n_samples=4000, seed=7)
 
     def test_deterministic_per_seed(self, half_duty_schedule):
-        path = PathParams(delay_ms=50.0)
-        a = sample_rtts(half_duty_schedule, 1, path, self.CFG)
-        b = sample_rtts(half_duty_schedule, 1, path, self.CFG)
+        key = window_pattern(half_duty_schedule, 1)
+        a = sample_rtts(key, (50.0,), self.CFG)
+        b = sample_rtts(key, (50.0,), self.CFG)
         assert a == b
 
     def test_seed_changes_samples(self, half_duty_schedule):
-        path = PathParams(delay_ms=50.0)
-        a = sample_rtts(half_duty_schedule, 1, path, self.CFG)
-        c = sample_rtts(half_duty_schedule, 1, path, replace(self.CFG, seed=8))
-        assert a.mean_ms != c.mean_ms
+        key = window_pattern(half_duty_schedule, 1)
+        a = sample_rtts(key, (50.0,), self.CFG)
+        c = sample_rtts(key, (50.0,), replace(self.CFG, seed=8))
+        assert a.means_ms != c.means_ms
 
     def test_bounds(self, half_duty_schedule):
         worst = max_disconnection(half_duty_schedule, 1)
-        key = _pattern_key(half_duty_schedule, 1)
-        for delay in (0.0, 25.0, 50.0, 130.0):
-            (rtts,) = sweep_rtt_samples(key, (delay,), self.CFG)
+        key = window_pattern(half_duty_schedule, 1)
+        delays = (0.0, 25.0, 50.0, 130.0)
+        stats = sample_rtts(key, delays, self.CFG)
+        assert stats.n == self.CFG.n_samples
+        assert len(stats.means_ms) == len(delays)
+        samples = sweep_rtt_samples(key, delays, self.CFG)
+        for delay, rtts, mean in zip(delays, samples, stats.means_ms):
             assert rtts.min() >= delay
             assert rtts.max() <= delay + worst + 1e-9
-            stats = sample_rtts(
-                half_duty_schedule, 1, PathParams(delay_ms=delay), self.CFG
-            )
-            assert stats.n == self.CFG.n_samples
+            assert mean == float(rtts.mean())
 
     def test_delay_multiple_of_period_is_exact(self, half_duty_schedule):
         # the ack phase equals the send phase, so every sample is connected
-        stats = sample_rtts(
-            half_duty_schedule, 1, PathParams(delay_ms=100.0), self.CFG
-        )
-        assert stats.mean_ms == 100.0
-        (rtts,) = sweep_rtt_samples(_pattern_key(half_duty_schedule, 1), (100.0,), self.CFG)
+        key = window_pattern(half_duty_schedule, 1)
+        assert sample_rtts(key, (100.0,), self.CFG).means_ms == (100.0,)
+        (rtts,) = sweep_rtt_samples(key, (100.0,), self.CFG)
         assert rtts.min() == 100.0 == rtts.max()
 
     def test_matches_scalar_model(self, case2_contiguous):
@@ -170,9 +170,8 @@ class TestSampleRtts:
         """
         plan = derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0)
         schedule = minmax_allocate(plan).schedule
-        path = PathParams(delay_ms=delay)
         means = [
-            sample_rtts(schedule.rotated(k), vsta, path, self.CFG).mean_ms
+            sample_rtts(window_pattern(schedule.rotated(k), vsta), (delay,), self.CFG).means_ms[0]
             for k in range(schedule.n_slots)
         ]
         spread = max_disconnection(schedule, vsta)
@@ -229,16 +228,11 @@ class TestVstaThroughput:
 class TestAggregateThroughput:
     CFG = RttSamplerConfig(n_samples=2000, seed=11)
 
-    def test_deterministic(self, half_duty_schedule):
+    def test_deterministic(self, half_duty_schedule, aggregate):
         paths = [PathParams(delay_ms=40.0), PathParams(delay_ms=60.0)]
-        a = ThroughputEvaluator(self.CFG).aggregate(half_duty_schedule, paths)
-        b = ThroughputEvaluator(self.CFG).aggregate(half_duty_schedule, paths)
+        a = aggregate(ThroughputEvaluator(self.CFG), half_duty_schedule, paths)
+        b = aggregate(ThroughputEvaluator(self.CFG), half_duty_schedule, paths)
         assert a == b
-
-    def test_path_count_checked(self, half_duty_schedule):
-        evaluator = ThroughputEvaluator(self.CFG)
-        with pytest.raises(ValueError, match="paths"):
-            evaluator.aggregate(half_duty_schedule, [PathParams(delay_ms=40.0)])
 
     def test_per_vsta_seed_streams_differ(self):
         assert vsta_seed(12345, 1) != vsta_seed(12345, 2)
@@ -252,20 +246,37 @@ class TestThroughputEvaluator:
         evaluator = ThroughputEvaluator(self.CFG)
         for vsta in (1, 2, 3):
             per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, vsta))
-            direct = sample_rtts(
-                case2_contiguous, vsta, PathParams(delay_ms=35.0), per_vsta
-            ).mean_ms
+            key = window_pattern(case2_contiguous, vsta)
+            (direct,) = sample_rtts(key, (35.0,), per_vsta).means_ms
             assert evaluator.mean_rtt(case2_contiguous, vsta, 35.0) == direct
 
-    def test_aggregate_matches_direct(self, case2_contiguous):
+    def test_aggregate_matches_direct(self, case2_contiguous, aggregate):
         evaluator = ThroughputEvaluator(self.CFG)
         paths = [PathParams(delay_ms=d) for d in (20.0, 40.0, 60.0)]
         direct = 0.0
         for vsta, path in enumerate(paths, start=1):
             per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, vsta))
-            mean = sample_rtts(case2_contiguous, vsta, path, per_vsta).mean_ms
+            key = window_pattern(case2_contiguous, vsta)
+            (mean,) = sample_rtts(key, (path.delay_ms,), per_vsta).means_ms
             direct += mathis_throughput(path.mss_bytes, mean, path.loss_rate)
-        assert evaluator.aggregate(case2_contiguous, paths) == direct
+        assert aggregate(evaluator, case2_contiguous, paths) == direct
+
+    def test_pattern_means_draw_once_per_call(self, case2_contiguous, monkeypatch):
+        """A sweep is one draw; delays already in the memo draw nothing."""
+        calls = []
+
+        def counting(pattern, delays_ms, cfg):
+            calls.append(tuple(delays_ms))
+            return sample_rtts(pattern, delays_ms, cfg)
+
+        monkeypatch.setattr(rttmodel, "sample_rtts", counting)
+        evaluator = ThroughputEvaluator(self.CFG)
+        key = window_pattern(case2_contiguous, 2)
+        swept = evaluator.pattern_means(2, key, (10.0, 35.0, 10.0, 60.0))
+        assert calls == [(10.0, 35.0, 60.0)]
+        assert evaluator.mean_rtt(case2_contiguous, 2, 35.0) == swept[1]
+        assert evaluator.pattern_means(2, key, (60.0, 80.0))[0] == swept[3]
+        assert calls == [(10.0, 35.0, 60.0), (80.0,)]
 
     def test_cache_hits_on_shifted_pattern(self):
         plan = derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5)
@@ -277,7 +288,7 @@ class TestThroughputEvaluator:
         cached = evaluator.mean_rtt(shifted, 1, 35.0)
         assert len(evaluator._mean_rtt_cache) == n_entries
         per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, 1))
-        direct = sample_rtts(shifted, 1, PathParams(delay_ms=35.0), per_vsta).mean_ms
+        (direct,) = sample_rtts(window_pattern(shifted, 1), (35.0,), per_vsta).means_ms
         assert cached == direct
 
     def test_zero_rtt_reports_unbounded(self):
@@ -286,4 +297,5 @@ class TestThroughputEvaluator:
         plan = derive_slot_plan(DutyCycleSet([1.0]), 15.0)
         sched = build_contiguous_schedule(plan)
         evaluator = ThroughputEvaluator(self.CFG)
-        assert evaluator.aggregate(sched, [PathParams(delay_ms=0.0)]) == math.inf
+        path = PathParams(delay_ms=0.0)
+        assert vsta_throughput(path, evaluator.mean_rtt(sched, 1, 0.0)) == math.inf

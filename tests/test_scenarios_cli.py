@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minislot.allocation import SearchTable
+from minislot import rttmodel
+from minislot.allocation import SearchTable, _upper_bound_search
 from minislot.cli import main
 from minislot.rttmodel import ThroughputEvaluator
 from minislot.scenarios import (
@@ -20,7 +21,12 @@ from minislot.scenarios import (
     scenario_from_config,
     schedule_records,
 )
-from minislot.schedule import DutyCycleSet, build_contiguous_schedule, derive_slot_plan
+from minislot.schedule import (
+    DutyCycleSet,
+    build_contiguous_schedule,
+    derive_slot_plan,
+    window_pattern,
+)
 
 
 class JsonDigits(str):
@@ -301,8 +307,9 @@ class TestRunScenario:
             )
 
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
-    def test_aggregate_is_the_evaluator_aggregate(self, name):
-        """The CSV aggregate is the sum the upper-bound search maximizes, bit for bit."""
+    def test_aggregate_is_the_evaluator_aggregate(self, name, aggregate):
+        """The CSV aggregate adds up the VSTAs' throughputs in order, bit for
+        bit, from means a fresh evaluator reads at one delay at a time."""
         (config,) = builtin_configs(name)
         algorithms = ("nopolicy", "minmax", "eq2")
         scenario = scenario_from_config(dict(config, algorithms=list(algorithms)))
@@ -314,8 +321,44 @@ class TestRunScenario:
         for delay in scenario.delays_ms:
             paths = scenario.paths_at(delay)
             for alg in algorithms:
-                want = evaluator.aggregate(run.schedules[alg], paths)
+                want = aggregate(evaluator, run.schedules[alg], paths)
                 assert aggregates[alg, delay] == want, (alg, delay)
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_upper_bound_rows_report_the_search_score(self, name):
+        """An upperbound aggregate row is the score its search maximized, bit for bit."""
+        (config,) = builtin_configs(name)
+        config = dict(config, algorithms=["upperbound"], delays_ms=[0.0, 10.0, 55.0])
+        scenario = scenario_from_config(config)
+        run = run_scenario(scenario)
+        paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
+        results = _upper_bound_search(
+            SearchTable(scenario.plan), paths_by_delay, ThroughputEvaluator(scenario.sampler)
+        )
+        rows = [r for r in run if r.algorithm == "upperbound" and r.vsta == "all"]
+        assert [r.aggregate_bps for r in rows] == [res.objective_value for res in results]
+
+    def test_one_draw_per_vsta_and_pattern(self, monkeypatch):
+        """Each (VSTA, window pattern) of the schedules is sampled with one
+        draw, whatever the number of swept delays."""
+        sample_rtts = rttmodel.sample_rtts
+        draws = []
+
+        def counting(pattern, delays_ms, cfg):
+            draws.append((cfg.seed, pattern))
+            return sample_rtts(pattern, delays_ms, cfg)
+
+        monkeypatch.setattr(rttmodel, "sample_rtts", counting)
+        (config,) = builtin_configs("case2")
+        scenario = scenario_from_config(dict(config, algorithms=["nopolicy", "minmax"]))
+        run = run_scenario(scenario)
+        distinct = {
+            (v, window_pattern(schedule, v))
+            for schedule in run.schedules.values()
+            for v in range(1, scenario.plan.n_vstas + 1)
+        }
+        assert len(scenario.delays_ms) == 41
+        assert len(draws) == len(set(draws)) == len(distinct)
 
     def test_deterministic_bytes(self):
         scenario = scenario_from_config(dict(SMALL_CONFIG))
