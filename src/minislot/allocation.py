@@ -16,10 +16,12 @@ Three ways to place the slots of a plan into the period:
   comparison ceiling.
 
 The exhaustive searches score a ``SearchTable``: every feasible owner
-vector with each VSTA's window pattern, built once and shared across
-objectives and delays.  Every objective is a sum over VSTAs of a value
-that depends on the row only through the VSTA's pattern, so each search
-computes one value per (VSTA, pattern) and gathers them into the rows.
+vector with each VSTA's window pattern, built once by the caller and
+shared across objectives and delays.  Every objective is a sum over
+VSTAs of a value that depends on the row only through the VSTA's
+pattern, so each search computes one value per (VSTA, pattern) and
+gathers them into the rows; the upper bound reads those values from a
+sweep's ``ThroughputEvaluator``, which draws once per (VSTA, pattern).
 """
 from __future__ import annotations
 
@@ -157,10 +159,16 @@ def eq2_objective(schedule: SlotSchedule) -> float:
 
 def eq1_penalty(schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
     """Total throughput lost to disconnections versus the bare wired paths."""
+    _check_path_count(schedule.n_vstas, paths)
     penalty = 0.0
     for vsta, path in enumerate(paths, start=1):
         penalty += _eq1_term(path, max_disconnection(schedule, vsta))
     return penalty
+
+
+def _check_path_count(n_vstas: int, paths: Sequence[PathParams]) -> None:
+    if len(paths) != n_vstas:
+        raise ValueError(f"expected {n_vstas} paths, got {len(paths)}")
 
 
 # The per-VSTA terms of the objectives, summed over the VSTAs in order both
@@ -289,11 +297,11 @@ def _smallest_within(
 
 
 def blind_allocate(
-    plan: SlotPlan,
+    table: SearchTable,
     objective: str = "eq2",
     paths: Sequence[PathParams] | None = None,
 ) -> AllocationResult:
-    """Exhaustive search over every feasible schedule.
+    """Exhaustive search over every feasible schedule of ``table``.
 
     ``objective="eq2"`` maximizes the sum of inverse worst
     disconnection times; ``objective="eq1"`` minimizes the total
@@ -301,26 +309,17 @@ def blind_allocate(
     lexicographic, so ties keep the lexicographically smallest owner
     vector.
     """
-    if objective not in ("eq1", "eq2"):
-        raise ValueError(f"objective must be 'eq1' or 'eq2', got {objective!r}")
-    if objective == "eq1":
-        if paths is None:
-            raise ValueError("objective 'eq1' requires per-VSTA path parameters")
-        if len(paths) != plan.n_vstas:
-            raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
-    return _blind_search(SearchTable(plan), objective, paths)
-
-
-def _blind_search(
-    table: SearchTable, objective: str, paths: Sequence[PathParams] | None
-) -> AllocationResult:
-    """``blind_allocate`` over a prebuilt table, with arguments already checked."""
     if objective == "eq2":
         values = [[_eq2_term(worst_gap(key)) for key in keys] for keys in table.keys]
         return _best_row(table, values, np.argmax)
+    if objective != "eq1":
+        raise ValueError(f"objective must be 'eq1' or 'eq2', got {objective!r}")
+    if paths is None:
+        raise ValueError("objective 'eq1' requires per-VSTA path parameters")
+    _check_path_count(table.plan.n_vstas, paths)
     values = [
         [_eq1_term(path, worst_gap(key)) for key in keys]
-        for keys, path in zip(table.keys, paths)  # type: ignore[arg-type]
+        for keys, path in zip(table.keys, paths)
     ]
     return _best_row(table, values, np.argmin)
 
@@ -352,41 +351,18 @@ def _result(schedule: SlotSchedule, objective_value: float, evaluations: int) ->
 
 
 def upper_bound_allocate(
-    plan: SlotPlan, paths: Sequence[PathParams], evaluator: ThroughputEvaluator
+    table: SearchTable, paths: Sequence[PathParams], evaluator: ThroughputEvaluator
 ) -> AllocationResult:
-    """Best Monte-Carlo aggregate throughput over all feasible schedules.
+    """Best Monte-Carlo aggregate throughput over every feasible schedule of ``table``.
 
-    Scored by ``evaluator``, whose sampler config fixes the seed, so the
+    Each row scores the ``run_scenario`` aggregate bit for bit.  Scored
+    by ``evaluator``, whose sampler config fixes the seed, so the
     maximizer is reproducible; ties keep the lexicographically smallest
     owner vector.
     """
-    if len(paths) != plan.n_vstas:
-        raise ValueError(f"expected {plan.n_vstas} paths, got {len(paths)}")
-    return _upper_bound_search(SearchTable(plan), [paths], evaluator)[0]
-
-
-def _upper_bound_search(
-    table: SearchTable,
-    paths_by_delay: Sequence[Sequence[PathParams]],
-    evaluator: ThroughputEvaluator,
-) -> list[AllocationResult]:
-    """``upper_bound_allocate`` over a prebuilt table, for each entry of ``paths_by_delay``.
-
-    Each row scores the ``run_scenario`` aggregate bit for bit.  A VSTA's
-    throughput depends on the row only through its window pattern, so
-    it is computed once per (pattern, delay) and gathered into the rows.
-    """
-    # throughputs[v - 1][id, k]: VSTA v's throughput under pattern id at delay k
-    throughputs = []
-    for v, keys in enumerate(table.keys, start=1):
-        paths = [by_vsta[v - 1] for by_vsta in paths_by_delay]
-        delays = [path.delay_ms for path in paths]
-        throughputs.append(np.array([
-            [vsta_throughput(path, mean)
-             for path, mean in zip(paths, evaluator.pattern_means(v, key, delays))]
-            for key in keys
-        ]))
-    return [
-        _best_row(table, [matrix[:, k] for matrix in throughputs], np.argmax)
-        for k in range(len(paths_by_delay))
+    _check_path_count(table.plan.n_vstas, paths)
+    values = [
+        [vsta_throughput(path, evaluator.pattern_mean(v, key, path.delay_ms)) for key in keys]
+        for v, (keys, path) in enumerate(zip(table.keys, paths), start=1)
     ]
+    return _best_row(table, values, np.argmax)

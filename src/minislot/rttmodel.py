@@ -10,7 +10,9 @@ opens, and follows it by an exponential offset measured in connected
 time.  The period's origin plays no part, so rotating a schedule moves
 the sampled mean RTT only by sampling noise.  Send times depend on a
 schedule only through the VSTA's ``window_pattern`` and not on the wired
-delay, so ``sample_rtts`` draws them once for a whole delay sweep.
+delay, so ``sample_rtts`` draws them once for a whole delay sweep, and a
+``ThroughputEvaluator`` makes that one draw per (VSTA, pattern) for
+every schedule and search of the sweep.
 Throughput follows from the mean observed RTT via the steady-state Reno
 approximation ``MSS / (RTT * sqrt(p))``.
 """
@@ -53,8 +55,9 @@ class PathParams:
     mss_bytes: int = DEFAULT_MSS_BYTES
 
     def __post_init__(self):
-        if self.delay_ms < 0.0:
-            raise ValueError(f"path delay must be >= 0, got {self.delay_ms}")
+        # chained comparisons are false for NaN
+        if not 0.0 <= self.delay_ms < math.inf:
+            raise ValueError(f"path delay must be finite and >= 0, got {self.delay_ms}")
         if not 0.0 < self.loss_rate < MAX_LOSS_RATE:
             raise MathisValidityError(
                 f"loss rate must be in (0, {MAX_LOSS_RATE}), got {self.loss_rate}"
@@ -117,8 +120,8 @@ def rtt_for_send_time(
     connected interval: a disconnected VSTA has no pending ack to
     trigger new data in TCP steady state.
     """
-    if delay_ms < 0.0:
-        raise ValueError(f"delay must be >= 0, got {delay_ms}")
+    if not 0.0 <= delay_ms < math.inf:
+        raise ValueError(f"delay must be finite and >= 0, got {delay_ms}")
     intervals = connected_intervals(schedule, vsta)
     period = schedule.period_ms
     send_phase = send_ms % period
@@ -229,35 +232,32 @@ def vsta_seed(base_seed: int, vsta: int) -> int:
 
 
 class ThroughputEvaluator:
-    """Memo of per-VSTA mean RTTs, keyed on (VSTA, delay, window pattern).
+    """Per-VSTA mean RTTs of one delay sweep, keyed on (VSTA, window pattern).
 
-    A VSTA's sampled RTTs depend on the schedule only through the cyclic
-    pattern of its connected windows and the gaps between them
-    (``window_pattern``), so every schedule with that pattern reads the
-    same mean, whichever schedule asked first.  Each ``pattern_means``
-    call draws once, so passing a whole sweep draws once per (VSTA,
-    pattern).  The order in which algorithms or search rows are
+    ``delays_by_vsta[v - 1]`` lists VSTA ``v``'s path delays over the
+    sweep.  A VSTA's sampled RTTs depend on the schedule only through the
+    cyclic pattern of its connected windows and the gaps between them
+    (``window_pattern``), so the first read of a (VSTA, pattern) draws
+    once, with one ``sample_rtts`` call, for all of the VSTA's sweep
+    delays, and every later read, from whichever schedule or search, is
+    a lookup.  The order in which algorithms or search rows are
     evaluated moves no bit.
     """
 
-    def __init__(self, cfg: RttSamplerConfig):
+    def __init__(self, cfg: RttSamplerConfig, delays_by_vsta: Sequence[Sequence[float]]):
         self.cfg = cfg
-        self._mean_rtt_cache: dict[tuple, float] = {}
+        self.delays_by_vsta = [tuple(dict.fromkeys(delays)) for delays in delays_by_vsta]
+        self._means: dict[tuple[int, tuple], dict[float, float]] = {}
 
     def mean_rtt(self, schedule: SlotSchedule, vsta: int, delay_ms: float) -> float:
-        return self.pattern_means(vsta, window_pattern(schedule, vsta), (delay_ms,))[0]
+        return self.pattern_mean(vsta, window_pattern(schedule, vsta), delay_ms)
 
-    def pattern_means(self, vsta: int, pattern: tuple, delays_ms: Sequence[float]) -> list[float]:
-        """Mean RTT of ``vsta`` under ``pattern`` at each delay.
-
-        The delays not cached yet are sampled with one ``sample_rtts`` call.
-        """
-        cache = self._mean_rtt_cache
-        missing = [d for d in dict.fromkeys(delays_ms) if (vsta, d, pattern) not in cache]
-        if missing:
-            means = sample_rtts(pattern, missing, self._vsta_cfg(vsta)).means_ms
-            cache.update(((vsta, d, pattern), m) for d, m in zip(missing, means))
-        return [cache[vsta, d, pattern] for d in delays_ms]
-
-    def _vsta_cfg(self, vsta: int) -> RttSamplerConfig:
-        return replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
+    def pattern_mean(self, vsta: int, pattern: tuple, delay_ms: float) -> float:
+        """Mean RTT of ``vsta`` under ``pattern`` at ``delay_ms``, one of its sweep delays."""
+        means = self._means.get((vsta, pattern))
+        if means is None:
+            delays = self.delays_by_vsta[vsta - 1]
+            cfg = replace(self.cfg, seed=vsta_seed(self.cfg.seed, vsta))
+            means = dict(zip(delays, sample_rtts(pattern, delays, cfg).means_ms))
+            self._means[vsta, pattern] = means
+        return means[delay_ms]

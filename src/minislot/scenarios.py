@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .allocation import SearchTable, _blind_search, _upper_bound_search, minmax_allocate
+from .allocation import SearchTable, blind_allocate, minmax_allocate, upper_bound_allocate
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
     DEFAULT_MSS_BYTES,
@@ -32,7 +32,6 @@ from .schedule import (
     SlotSchedule,
     build_contiguous_schedule,
     derive_slot_plan,
-    window_pattern,
 )
 
 CSV_HEADER = (
@@ -69,11 +68,11 @@ class Scenario:
     duty_cycles: DutyCycleSet
     slot_time_ms: float
     delays_ms: tuple[float, ...]
-    delay_offsets_ms: tuple[float, ...] = ()
-    loss_rates: tuple[float, ...] = ()
-    mss_bytes: int = DEFAULT_MSS_BYTES
-    sampler: RttSamplerConfig = field(default_factory=RttSamplerConfig)
-    algorithms: tuple[str, ...] = ("nopolicy", "minmax")
+    delay_offsets_ms: tuple[float, ...]
+    loss_rates: tuple[float, ...]
+    mss_bytes: int
+    sampler: RttSamplerConfig
+    algorithms: tuple[str, ...]
     plan: SlotPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -354,7 +353,10 @@ class _Sweep:
     def __init__(self, scenario: Scenario):
         self.plan = scenario.plan
         self.paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
-        self.evaluator = ThroughputEvaluator(scenario.sampler)
+        self.evaluator = ThroughputEvaluator(
+            scenario.sampler,
+            [[path.delay_ms for path in v_paths] for v_paths in zip(*self.paths_by_delay)],
+        )
 
     @cached_property
     def table(self) -> SearchTable:
@@ -371,12 +373,12 @@ _SCHEDULERS: dict[str, Callable[[_Sweep], SlotSchedule | list[SlotSchedule]]] = 
     "nopolicy": lambda sweep: build_contiguous_schedule(sweep.plan),
     "minmax": lambda sweep: minmax_allocate(sweep.plan).schedule,
     "eq1": lambda sweep: [
-        _blind_search(sweep.table, "eq1", paths).schedule for paths in sweep.paths_by_delay
+        blind_allocate(sweep.table, "eq1", paths).schedule for paths in sweep.paths_by_delay
     ],
-    "eq2": lambda sweep: _blind_search(sweep.table, "eq2", None).schedule,
+    "eq2": lambda sweep: blind_allocate(sweep.table, "eq2").schedule,
     "upperbound": lambda sweep: [
-        result.schedule
-        for result in _upper_bound_search(sweep.table, sweep.paths_by_delay, sweep.evaluator)
+        upper_bound_allocate(sweep.table, paths, sweep.evaluator).schedule
+        for paths in sweep.paths_by_delay
     ],
 }
 ALGORITHMS = tuple(_SCHEDULERS)
@@ -398,8 +400,9 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     """Full sweep of a scenario; fully deterministic given the seed.
 
     The nopolicy baseline and then each listed algorithm is built and
-    evaluated at every swept delay.  Each VSTA of a delay-independent
-    schedule is sampled once for the whole sweep.
+    evaluated at every swept delay.  The sweep's evaluator draws once
+    per (VSTA, window pattern), for every delay, whichever schedule or
+    search reads the pattern first.
     """
     sweep = _Sweep(scenario)
     n = sweep.plan.n_vstas
@@ -428,9 +431,6 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         built = _SCHEDULERS[alg](sweep)
         if isinstance(built, SlotSchedule):
             schedules[alg] = built
-            for v, v_paths in enumerate(zip(*sweep.paths_by_delay), start=1):
-                delays = [path.delay_ms for path in v_paths]
-                sweep.evaluator.pattern_means(v, window_pattern(built, v), delays)
             built = [built] * len(sweep.paths_by_delay)
         results[alg] = [evaluate(s, paths) for s, paths in zip(built, sweep.paths_by_delay)]
 

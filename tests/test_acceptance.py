@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from minislot.allocation import (
+    SearchTable,
     blind_allocate,
     eq2_objective,
     minmax_allocate,
@@ -238,7 +239,7 @@ def test_criterion_9_property_suite():
     ):
         p = derive_slot_plan(DutyCycleSet(duties), slot_time)
         checks.append(
-            blind_allocate(p, "eq2").objective_value
+            blind_allocate(SearchTable(p), "eq2").objective_value
             >= eq2_objective(minmax_allocate(p).schedule) - 1e-12
         )
 

@@ -8,8 +8,6 @@ from minislot.allocation import (
     EnumerationBudgetError,
     SearchTable,
     _evenly_spaced_positions,
-    _multiset_permutations,
-    _upper_bound_search,
     blind_allocate,
     enumerate_schedules,
     eq1_penalty,
@@ -32,6 +30,14 @@ from minislot.schedule import (
     max_disconnection,
     window_pattern,
 )
+
+
+def sweep_evaluator(cfg, *paths_by_delay):
+    """An evaluator for the sweep of the given per-delay path lists."""
+    return ThroughputEvaluator(
+        cfg, [[path.delay_ms for path in v_paths] for v_paths in zip(*paths_by_delay)]
+    )
+
 
 # the worked three-VSTA example: owners [1,2,3,1,2,1], slot sizes 12/15/10 ms
 WORKED_PLAN = SlotPlan(period_ms=76.0, slot_counts=(3, 2, 1), slot_sizes_ms=(12.0, 15.0, 10.0))
@@ -116,7 +122,10 @@ class TestEnumeration:
                 assert sched.owners.count(vsta) == g
 
     def test_multiset_permutation_count(self):
-        perms = list(_multiset_permutations((2, 2)))
+        plan = SlotPlan(period_ms=40.0, slot_counts=(2, 2), slot_sizes_ms=(10.0, 10.0))
+        schedules, count = enumerate_schedules(plan)
+        perms = [s.owners for s in schedules]
+        assert count == len(perms)
         assert perms == [
             (1, 1, 2, 2),
             (1, 2, 1, 2),
@@ -152,6 +161,11 @@ class TestObjectives:
     def test_eq1_zero_delay_is_infinite(self, case2_plan):
         sched = build_contiguous_schedule(case2_plan)
         assert eq1_penalty(sched, [PathParams(delay_ms=0.0)] * 3) == math.inf
+
+    def test_eq1_path_count_checked(self, case2_plan):
+        sched = build_contiguous_schedule(case2_plan)
+        with pytest.raises(ValueError, match="expected 3 paths, got 1"):
+            eq1_penalty(sched, [PathParams(delay_ms=10.0)])
 
 
 class TestMinmaxAllocate:
@@ -226,7 +240,7 @@ class TestMinmaxAllocate:
 
 class TestBlindAllocate:
     def test_eq2_matches_heuristic_objective(self, case2_plan):
-        blind = blind_allocate(case2_plan, "eq2")
+        blind = blind_allocate(SearchTable(case2_plan), "eq2")
         heuristic = minmax_allocate(case2_plan)
         assert blind.objective_value == pytest.approx(
             heuristic.objective_value, abs=1e-9
@@ -234,32 +248,36 @@ class TestBlindAllocate:
         assert blind.evaluations == 280
 
     def test_eq2_dominates_every_schedule(self, case3_plan):
-        best = blind_allocate(case3_plan, "eq2").objective_value
+        best = blind_allocate(SearchTable(case3_plan), "eq2").objective_value
         schedules, _ = enumerate_schedules(case3_plan)
         assert all(eq2_objective(s) <= best + 1e-12 for s in schedules)
 
     def test_eq1_requires_paths(self, case2_plan):
         with pytest.raises(ValueError, match="path"):
-            blind_allocate(case2_plan, "eq1")
+            blind_allocate(SearchTable(case2_plan), "eq1")
+
+    def test_eq1_path_count_checked(self, case2_plan):
+        with pytest.raises(ValueError, match="expected 3 paths, got 1"):
+            blind_allocate(SearchTable(case2_plan), "eq1", [PathParams(delay_ms=10.0)])
 
     def test_eq1_dominates_every_schedule(self, case2_plan):
         paths = [PathParams(delay_ms=d) for d in (30.0, 50.0, 70.0)]
-        best = blind_allocate(case2_plan, "eq1", paths=paths).objective_value
+        best = blind_allocate(SearchTable(case2_plan), "eq1", paths=paths).objective_value
         schedules, _ = enumerate_schedules(case2_plan)
         assert all(eq1_penalty(s, paths) >= best - 1e-9 for s in schedules)
 
     def test_unknown_objective(self, case2_plan):
         with pytest.raises(ValueError, match="objective"):
-            blind_allocate(case2_plan, "eq3")
+            blind_allocate(SearchTable(case2_plan), "eq3")
 
     def test_budget_propagates(self, ten_tenths_plan):
         with pytest.raises(EnumerationBudgetError):
-            blind_allocate(ten_tenths_plan, "eq2")
+            blind_allocate(SearchTable(ten_tenths_plan), "eq2")
 
     def test_tie_break_is_lexicographic(self, case2_plan):
         # re-running with the same inputs must return the same owners
-        a = blind_allocate(case2_plan, "eq2").schedule.owners
-        b = blind_allocate(case2_plan, "eq2").schedule.owners
+        a = blind_allocate(SearchTable(case2_plan), "eq2").schedule.owners
+        b = blind_allocate(SearchTable(case2_plan), "eq2").schedule.owners
         assert a == b
 
 
@@ -268,24 +286,23 @@ class TestUpperBoundAllocate:
 
     def test_dominates_heuristic(self, case2_plan, aggregate):
         paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
-        evaluator = ThroughputEvaluator(self.CFG)
-        result = upper_bound_allocate(case2_plan, paths, evaluator)
+        evaluator = sweep_evaluator(self.CFG, paths)
+        result = upper_bound_allocate(SearchTable(case2_plan), paths, evaluator)
         heuristic = minmax_allocate(case2_plan).schedule
         assert result.objective_value >= aggregate(evaluator, heuristic, paths)
         assert result.evaluations == 280
 
     def test_deterministic(self, case3_plan):
         paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
-        a = upper_bound_allocate(case3_plan, paths, ThroughputEvaluator(self.CFG))
-        b = upper_bound_allocate(case3_plan, paths, ThroughputEvaluator(self.CFG))
+        a = upper_bound_allocate(SearchTable(case3_plan), paths, sweep_evaluator(self.CFG, paths))
+        b = upper_bound_allocate(SearchTable(case3_plan), paths, sweep_evaluator(self.CFG, paths))
         assert a.schedule.owners == b.schedule.owners
         assert a.objective_value == b.objective_value
 
     def test_path_count_checked(self, case2_plan):
-        with pytest.raises(ValueError, match="paths"):
-            upper_bound_allocate(
-                case2_plan, [PathParams(delay_ms=40.0)], ThroughputEvaluator(self.CFG)
-            )
+        paths = [PathParams(delay_ms=40.0)]
+        with pytest.raises(ValueError, match="expected 3 paths, got 1"):
+            upper_bound_allocate(SearchTable(case2_plan), paths, sweep_evaluator(self.CFG, paths))
 
 
 class TestMaxDisconnectionConsistency:
@@ -302,7 +319,8 @@ class TestMaxDisconnectionConsistency:
                 assert max_disconnection(schedule, v) == max(gaps)
 
     def test_results_agree_with_schedule_module(self, case3_plan):
-        for result in (minmax_allocate(case3_plan), blind_allocate(case3_plan, "eq2")):
+        blind = blind_allocate(SearchTable(case3_plan), "eq2")
+        for result in (minmax_allocate(case3_plan), blind):
             direct = tuple(
                 max_disconnection(result.schedule, v)
                 for v in range(1, case3_plan.n_vstas + 1)
@@ -366,7 +384,7 @@ class TestTableSearchMatchesBruteForce:
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_eq2(self, name):
         plan = plan_named(name)
-        result = blind_allocate(plan, "eq2")
+        result = blind_allocate(SearchTable(plan), "eq2")
         want = brute_force(plan, eq2_objective, lambda a, b: a > b)
         assert (result.schedule.owners, result.objective_value, result.evaluations) == want
 
@@ -375,7 +393,7 @@ class TestTableSearchMatchesBruteForce:
     def test_eq1(self, name, delay):
         plan = plan_named(name)
         paths = [PathParams(delay_ms=delay + 20.0 * i) for i in range(plan.n_vstas)]
-        result = blind_allocate(plan, "eq1", paths=paths)
+        result = blind_allocate(SearchTable(plan), "eq1", paths=paths)
         want = brute_force(plan, lambda s: eq1_penalty(s, paths), lambda a, b: a < b)
         assert (result.schedule.owners, result.objective_value, result.evaluations) == want
 
@@ -383,33 +401,32 @@ class TestTableSearchMatchesBruteForce:
         plan = plan_named("halves")
         paths = [PathParams(delay_ms=30.0)] * 2
         for result in (
-            blind_allocate(plan, "eq2"),
-            blind_allocate(plan, "eq1", paths=paths),
-            upper_bound_allocate(plan, paths, ThroughputEvaluator(self.CFG)),
+            blind_allocate(SearchTable(plan), "eq2"),
+            blind_allocate(SearchTable(plan), "eq1", paths=paths),
+            upper_bound_allocate(SearchTable(plan), paths, sweep_evaluator(self.CFG, paths)),
         ):
             assert result.schedule.owners == (1, 2)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_upper_bound_sweep(self, name, aggregate):
-        """Winners, scores and the evaluator's cache match one search per delay.
+        """Winners and scores over one sweep evaluator match a brute-force
+        loop and a search over a one-delay evaluator, at each delay.
 
         Delay 0 gives zero mean RTTs, hence infinite aggregates; the
-        repeated delay is answered from the cache.
+        repeated delay is answered from the evaluator.
         """
         plan = plan_named(name)
         paths_by_delay = [
             [PathParams(delay_ms=base + 20.0 * i) for i in range(plan.n_vstas)]
             for base in (0.0, 10.0, 55.0, 10.0)
         ]
-        swept = ThroughputEvaluator(self.CFG)
-        results = _upper_bound_search(SearchTable(plan), paths_by_delay, swept)
-        looped = ThroughputEvaluator(self.CFG)
-        singles = ThroughputEvaluator(self.CFG)
-        for paths, result in zip(paths_by_delay, results):
+        table = SearchTable(plan)
+        swept = sweep_evaluator(self.CFG, *paths_by_delay)
+        looped = sweep_evaluator(self.CFG, *paths_by_delay)
+        for paths in paths_by_delay:
+            result = upper_bound_allocate(table, paths, swept)
             want = brute_force(
                 plan, lambda s: aggregate(looped, s, paths), lambda a, b: a > b
             )
             assert (result.schedule.owners, result.objective_value, result.evaluations) == want
-            single = upper_bound_allocate(plan, paths, singles)
-            assert single == result
-        assert swept._mean_rtt_cache == looped._mean_rtt_cache == singles._mean_rtt_cache
+            assert upper_bound_allocate(table, paths, sweep_evaluator(self.CFG, paths)) == result

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from minislot.allocation import _minmax_pick, blind_allocate, eq2_objective, minmax_allocate
+from minislot.allocation import (
+    SearchTable,
+    _minmax_pick,
+    blind_allocate,
+    eq2_objective,
+    minmax_allocate,
+)
 from minislot.rttmodel import RttSamplerConfig, sample_rtts, sweep_rtt_samples
 from minislot.schedule import (
     DutyCycleSet,
@@ -206,7 +212,7 @@ class TestAllocationProperties:
     def test_exhaustive_dominates_heuristic_and_contiguous(self, plan):
         if plan.total_slots > 9:
             return  # keep the exhaustive sweep cheap
-        best = blind_allocate(plan, "eq2").objective_value
+        best = blind_allocate(SearchTable(plan), "eq2").objective_value
         assert best >= eq2_objective(minmax_allocate(plan).schedule) - 1e-12
         assert best >= eq2_objective(build_contiguous_schedule(plan)) - 1e-12
 

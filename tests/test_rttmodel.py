@@ -94,6 +94,11 @@ class TestRttForSendTime:
         with pytest.raises(ValueError, match="delay"):
             rtt_for_send_time(half_duty_schedule, 1, 10.0, -1.0)
 
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_invalid_delay_rejected(self, half_duty_schedule, delay):
+        with pytest.raises(ValueError, match="delay must be finite and >= 0"):
+            rtt_for_send_time(half_duty_schedule, 1, 10.0, delay)
+
     def test_bounds(self, half_duty_schedule):
         worst = max_disconnection(half_duty_schedule, 1)
         for send in np.linspace(0.0, 49.9, 23):
@@ -215,6 +220,11 @@ class TestPathParams:
         with pytest.raises(ValueError):
             PathParams(delay_ms=-1.0)
 
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_invalid_delay(self, delay):
+        with pytest.raises(ValueError, match="path delay must be finite and >= 0"):
+            PathParams(delay_ms=delay)
+
 
 class TestVstaThroughput:
     def test_positive_rtt_is_mathis(self):
@@ -230,8 +240,9 @@ class TestAggregateThroughput:
 
     def test_deterministic(self, half_duty_schedule, aggregate):
         paths = [PathParams(delay_ms=40.0), PathParams(delay_ms=60.0)]
-        a = aggregate(ThroughputEvaluator(self.CFG), half_duty_schedule, paths)
-        b = aggregate(ThroughputEvaluator(self.CFG), half_duty_schedule, paths)
+        delays = [[40.0], [60.0]]
+        a = aggregate(ThroughputEvaluator(self.CFG, delays), half_duty_schedule, paths)
+        b = aggregate(ThroughputEvaluator(self.CFG, delays), half_duty_schedule, paths)
         assert a == b
 
     def test_per_vsta_seed_streams_differ(self):
@@ -243,7 +254,7 @@ class TestThroughputEvaluator:
     CFG = RttSamplerConfig(n_samples=2000, seed=11)
 
     def test_matches_direct_sampling(self, case2_contiguous):
-        evaluator = ThroughputEvaluator(self.CFG)
+        evaluator = ThroughputEvaluator(self.CFG, [[35.0]] * 3)
         for vsta in (1, 2, 3):
             per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, vsta))
             key = window_pattern(case2_contiguous, vsta)
@@ -251,7 +262,7 @@ class TestThroughputEvaluator:
             assert evaluator.mean_rtt(case2_contiguous, vsta, 35.0) == direct
 
     def test_aggregate_matches_direct(self, case2_contiguous, aggregate):
-        evaluator = ThroughputEvaluator(self.CFG)
+        evaluator = ThroughputEvaluator(self.CFG, [[20.0], [40.0], [60.0]])
         paths = [PathParams(delay_ms=d) for d in (20.0, 40.0, 60.0)]
         direct = 0.0
         for vsta, path in enumerate(paths, start=1):
@@ -261,32 +272,43 @@ class TestThroughputEvaluator:
             direct += mathis_throughput(path.mss_bytes, mean, path.loss_rate)
         assert aggregate(evaluator, case2_contiguous, paths) == direct
 
-    def test_pattern_means_draw_once_per_call(self, case2_contiguous, monkeypatch):
-        """A sweep is one draw; delays already in the memo draw nothing."""
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The (VSTA seed, delays) of every ``sample_rtts`` call."""
         calls = []
 
         def counting(pattern, delays_ms, cfg):
-            calls.append(tuple(delays_ms))
+            calls.append((cfg.seed, tuple(delays_ms)))
             return sample_rtts(pattern, delays_ms, cfg)
 
         monkeypatch.setattr(rttmodel, "sample_rtts", counting)
-        evaluator = ThroughputEvaluator(self.CFG)
-        key = window_pattern(case2_contiguous, 2)
-        swept = evaluator.pattern_means(2, key, (10.0, 35.0, 10.0, 60.0))
-        assert calls == [(10.0, 35.0, 60.0)]
-        assert evaluator.mean_rtt(case2_contiguous, 2, 35.0) == swept[1]
-        assert evaluator.pattern_means(2, key, (60.0, 80.0))[0] == swept[3]
-        assert calls == [(10.0, 35.0, 60.0), (80.0,)]
+        return calls
 
-    def test_cache_hits_on_shifted_pattern(self):
+    def test_pattern_mean_draws_once_per_sweep(self, case2_contiguous, draws):
+        """The first read of a pattern draws all of the VSTA's sweep delays;
+        later reads, at any of them, draw nothing."""
+        sweep = (10.0, 35.0, 10.0, 60.0)
+        evaluator = ThroughputEvaluator(self.CFG, [(0.0,), sweep, (0.0,)])
+        key = window_pattern(case2_contiguous, 2)
+        mean = evaluator.pattern_mean(2, key, 35.0)
+        seed = vsta_seed(self.CFG.seed, 2)
+        assert draws == [(seed, (10.0, 35.0, 60.0))]
+        assert evaluator.mean_rtt(case2_contiguous, 2, 35.0) == mean
+        for delay in sweep:
+            (direct,) = sample_rtts(key, (delay,), replace(self.CFG, seed=seed)).means_ms
+            assert evaluator.pattern_mean(2, key, delay) == direct
+        assert len(draws) == 1
+        with pytest.raises(KeyError):
+            evaluator.pattern_mean(2, key, 80.0)
+
+    def test_cache_hits_on_shifted_pattern(self, draws):
         plan = derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5)
         scattered = SlotSchedule.from_owners(plan, (1, 3, 1, 3, 1, 3, 1, 2))
         shifted = SlotSchedule.from_owners(plan, (2, 1, 3, 1, 3, 1, 3, 1))
-        evaluator = ThroughputEvaluator(self.CFG)
+        evaluator = ThroughputEvaluator(self.CFG, [[35.0]] * 3)
         evaluator.mean_rtt(scattered, 1, 35.0)
-        n_entries = len(evaluator._mean_rtt_cache)
         cached = evaluator.mean_rtt(shifted, 1, 35.0)
-        assert len(evaluator._mean_rtt_cache) == n_entries
+        assert len(draws) == 1
         per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, 1))
         (direct,) = sample_rtts(window_pattern(shifted, 1), (35.0,), per_vsta).means_ms
         assert cached == direct
@@ -296,6 +318,6 @@ class TestThroughputEvaluator:
         # the model throughput diverges
         plan = derive_slot_plan(DutyCycleSet([1.0]), 15.0)
         sched = build_contiguous_schedule(plan)
-        evaluator = ThroughputEvaluator(self.CFG)
+        evaluator = ThroughputEvaluator(self.CFG, [[0.0]])
         path = PathParams(delay_ms=0.0)
         assert vsta_throughput(path, evaluator.mean_rtt(sched, 1, 0.0)) == math.inf

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minislot import rttmodel
-from minislot.allocation import SearchTable, _upper_bound_search
+from minislot.allocation import SearchTable, blind_allocate, upper_bound_allocate
 from minislot.cli import main
 from minislot.rttmodel import ThroughputEvaluator
 from minislot.scenarios import (
@@ -27,6 +27,11 @@ from minislot.schedule import (
     derive_slot_plan,
     window_pattern,
 )
+
+
+def one_delay_evaluator(scenario, paths):
+    """A fresh evaluator of the scenario's sampler for the single delay of ``paths``."""
+    return ThroughputEvaluator(scenario.sampler, [[path.delay_ms] for path in paths])
 
 
 class JsonDigits(str):
@@ -309,17 +314,17 @@ class TestRunScenario:
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
     def test_aggregate_is_the_evaluator_aggregate(self, name, aggregate):
         """The CSV aggregate adds up the VSTAs' throughputs in order, bit for
-        bit, from means a fresh evaluator reads at one delay at a time."""
+        bit, from means a fresh evaluator of one delay reads."""
         (config,) = builtin_configs(name)
         algorithms = ("nopolicy", "minmax", "eq2")
         scenario = scenario_from_config(dict(config, algorithms=list(algorithms)))
         run = run_scenario(scenario)
-        evaluator = ThroughputEvaluator(scenario.sampler)
         aggregates = {
             (r.algorithm, r.base_delay_ms): r.aggregate_bps for r in run if r.vsta == "all"
         }
         for delay in scenario.delays_ms:
             paths = scenario.paths_at(delay)
+            evaluator = one_delay_evaluator(scenario, paths)
             for alg in algorithms:
                 want = aggregate(evaluator, run.schedules[alg], paths)
                 assert aggregates[alg, delay] == want, (alg, delay)
@@ -331,16 +336,19 @@ class TestRunScenario:
         config = dict(config, algorithms=["upperbound"], delays_ms=[0.0, 10.0, 55.0])
         scenario = scenario_from_config(config)
         run = run_scenario(scenario)
-        paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
-        results = _upper_bound_search(
-            SearchTable(scenario.plan), paths_by_delay, ThroughputEvaluator(scenario.sampler)
-        )
+        table = SearchTable(scenario.plan)
+        scores = [
+            upper_bound_allocate(table, paths, one_delay_evaluator(scenario, paths)).objective_value
+            for paths in map(scenario.paths_at, scenario.delays_ms)
+        ]
         rows = [r for r in run if r.algorithm == "upperbound" and r.vsta == "all"]
-        assert [r.aggregate_bps for r in rows] == [res.objective_value for res in results]
+        assert [r.aggregate_bps for r in rows] == scores
 
-    def test_one_draw_per_vsta_and_pattern(self, monkeypatch):
-        """Each (VSTA, window pattern) of the schedules is sampled with one
-        draw, whatever the number of swept delays."""
+    @pytest.mark.parametrize("algorithms", ["nopolicy,minmax", "nopolicy,eq1,eq2"])
+    def test_one_draw_per_vsta_and_pattern(self, monkeypatch, algorithms):
+        """Each (VSTA, window pattern) of every row's schedule, eq1's
+        per-delay winners included, is sampled with one draw, whatever the
+        number of swept delays."""
         sample_rtts = rttmodel.sample_rtts
         draws = []
 
@@ -350,11 +358,18 @@ class TestRunScenario:
 
         monkeypatch.setattr(rttmodel, "sample_rtts", counting)
         (config,) = builtin_configs("case2")
-        scenario = scenario_from_config(dict(config, algorithms=["nopolicy", "minmax"]))
+        scenario = scenario_from_config(dict(config, algorithms=algorithms.split(",")))
         run = run_scenario(scenario)
+        schedules = list(run.schedules.values())
+        if "eq1" in algorithms:
+            table = SearchTable(scenario.plan)
+            schedules += [
+                blind_allocate(table, "eq1", scenario.paths_at(d)).schedule
+                for d in scenario.delays_ms
+            ]
         distinct = {
             (v, window_pattern(schedule, v))
-            for schedule in run.schedules.values()
+            for schedule in schedules
             for v in range(1, scenario.plan.n_vstas + 1)
         }
         assert len(scenario.delays_ms) == 41
