@@ -32,7 +32,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .rttmodel import PathParams, ThroughputEvaluator, mathis_throughput, vsta_throughput
+from .rttmodel import (
+    PathParams, ThroughputEvaluator, mathis_throughput, vsta_sum, vsta_throughput,
+)
 from .schedule import SlotPlan, SlotSchedule, max_disconnection, window_pattern, worst_gap
 
 #: most owner vectors an exhaustive search enumerates; the table is built
@@ -151,19 +153,18 @@ def eq2_objective(schedule: SlotSchedule) -> float:
     Infinite when some VSTA is never disconnected, which only happens
     in the degenerate single-VSTA plan.
     """
-    total = 0.0
-    for vsta in range(1, schedule.n_vstas + 1):
-        total += _eq2_term(max_disconnection(schedule, vsta))
-    return total
+    return vsta_sum(
+        _eq2_term(max_disconnection(schedule, vsta)) for vsta in range(1, schedule.n_vstas + 1)
+    )
 
 
 def eq1_penalty(schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
     """Total throughput lost to disconnections versus the bare wired paths."""
     _check_path_count(schedule.n_vstas, paths)
-    penalty = 0.0
-    for vsta, path in enumerate(paths, start=1):
-        penalty += _eq1_term(path, max_disconnection(schedule, vsta))
-    return penalty
+    return vsta_sum(
+        _eq1_term(path, max_disconnection(schedule, vsta))
+        for vsta, path in enumerate(paths, start=1)
+    )
 
 
 def _check_path_count(n_vstas: int, paths: Sequence[PathParams]) -> None:
@@ -171,8 +172,8 @@ def _check_path_count(n_vstas: int, paths: Sequence[PathParams]) -> None:
         raise ValueError(f"expected {n_vstas} paths, got {len(paths)}")
 
 
-# The per-VSTA terms of the objectives, summed over the VSTAs in order both
-# by the functions above and by the search over a ``SearchTable``.
+# The per-VSTA terms of the objectives, summed by ``vsta_sum`` both in the
+# functions above and in the search over a ``SearchTable``.
 def _eq2_term(worst: float) -> float:
     return 1.0 / worst if worst > 0.0 else math.inf
 
@@ -329,12 +330,12 @@ def _best_row(
 ) -> AllocationResult:
     """The first row ``pick`` (``np.argmax`` or ``np.argmin``) takes by score.
 
-    A row's score sums ``values[v - 1][id]`` over the VSTAs in order,
-    where ``id`` is VSTA ``v``'s pattern in that row.
+    A row's score is the ``vsta_sum`` of ``values[v - 1][id]``, where
+    ``id`` is VSTA ``v``'s pattern in that row.
     """
-    scores = np.zeros(table.count)
-    for v, by_pattern in enumerate(values):
-        scores += np.asarray(by_pattern)[table.pattern[:, v]]
+    scores = vsta_sum(
+        np.asarray(by_pattern)[table.pattern[:, v]] for v, by_pattern in enumerate(values)
+    )
     best = int(pick(scores))
     return _result(table.schedule(best), float(scores[best]), table.count)
 

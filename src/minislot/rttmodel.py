@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import rtt_samples, send_times
+from ._kernels import rtt_samples
 from .schedule import SlotSchedule, connected_intervals, window_pattern
 
 #: loss rates at or above this bound invalidate the Reno throughput model
@@ -166,41 +166,49 @@ def sweep_rtt_samples(
     time 0: each window starts where the previous one's gap ends, and
     the last gap closes the period.  Every schedule with the pattern
     thus gets the same samples, and every delay sees the same sends,
-    exactly as separate one-delay calls with the same seed would.
+    exactly as separate one-delay calls with the same seed would.  Send
+    ``k`` of ``n`` follows the reconnection of the window holding the
+    point ``(k + 1/2) / n`` of the connected time; a last window that
+    ends within 1e-9 ms of the period runs on into the first across the
+    period boundary, and the sends of both follow its reconnection.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
     starts, ends, period = bounds[:-1:2], bounds[1::2], float(bounds[-1])
+    # the windows laid end to end: connected time before each window, then in all
+    before = np.concatenate(([0.0], np.cumsum(ends - starts)))
+    # np.sum adds pairwise: from 8 windows on it may differ from before[-1] in the last bit
     total = float(np.sum(ends - starts))
-    rng = np.random.default_rng(cfg.seed)
-    raw = rng.exponential(cfg.mean_fraction * total, cfg.n_samples)
-    offsets = _reconnection_anchors(starts, ends, period, cfg.n_samples)
-    offsets += raw
+    n = cfg.n_samples
+    anchors = before[:-1].copy()  # the send times below still read before[0]
+    if abs(ends[-1] - (period + starts[0])) <= 1e-9:
+        anchors[0] = anchors[-1]
+    # window i + 1's sends start with the first k whose point reaches before[i + 1]
+    firsts = np.clip(np.ceil(before[1:-1] * (n / before[-1]) - 0.5), 0, n).astype(np.intp)
+    offsets = np.repeat(anchors, np.diff(firsts, prepend=0, append=n))
+    offsets += np.random.default_rng(cfg.seed).exponential(cfg.mean_fraction * total, n)
     # for offsets >= 0, fmod equals % bit for bit and is cheaper
     np.fmod(offsets, total, out=offsets)
-    sends = send_times(starts, ends, offsets)
+    # the window each connected-time offset falls in, and its wall-clock time
+    idx = np.searchsorted(before[1:], offsets, side="right")
+    sends = starts[idx] + (offsets - before[idx])
     for delay in delays_ms:
         yield rtt_samples(starts, ends, sends, delay, period)
 
 
-def _reconnection_anchors(
-    starts: np.ndarray, ends: np.ndarray, period: float, n: int
-) -> np.ndarray:
-    """Connected-time start of the window each of ``n`` sends follows.
+def vsta_sum(values):
+    """Sum of per-VSTA floats or numpy columns, added one at a time in VSTA order.
 
-    Reconnections are weighted by window length, stratified rather than
-    drawn: send ``k`` follows the reconnection of the window holding the
-    point ``(k + 1/2) / n`` of the connected time.
+    The objectives, the searches' row scores and the CSV aggregate all
+    sum here, so a search scores each row with the float the CSV
+    reports.  A plain loop on purpose: from Python 3.12 ``sum()``
+    compensates float sums and ``math.fsum`` rounds once, and either
+    would split the CSV aggregate from the search's score.
     """
-    cum = np.cumsum(ends - starts)
-    window_starts = np.concatenate(([0.0], cum[:-1]))
-    if abs(ends[-1] - (period + starts[0])) <= 1e-9:
-        # the last window runs on into the first across the period
-        # boundary, so both follow the last window's reconnection
-        window_starts[0] = window_starts[-1]
-    # window i + 1 starts with the first k whose point reaches cum[i]
-    firsts = np.clip(np.ceil(cum[:-1] * (n / cum[-1]) - 0.5), 0, n).astype(np.intp)
-    return np.repeat(window_starts, np.diff(firsts, prepend=0, append=n))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def mathis_throughput(mss_bytes: int, rtt_ms: float, loss_rate: float) -> float:

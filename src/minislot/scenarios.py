@@ -24,6 +24,7 @@ from .rttmodel import (
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
+    vsta_sum,
     vsta_throughput,
 )
 from .schedule import (
@@ -40,8 +41,8 @@ CSV_HEADER = (
 )
 
 DEFAULT_SWEEP = tuple(float(d) for d in range(0, 201, 5))
-#: most delays a {start, stop, step} sweep may expand to.  Every algorithm
-#: is evaluated at every delay, so a sweep of this length already takes
+#: most delays a sweep may hold, in either form.  Every algorithm is
+#: evaluated at every delay, so a sweep of this length already takes
 #: minutes on the built-in cases; far longer ones would hang.
 MAX_SWEEP_DELAYS = 10_000
 DEFAULT_SEED = 12345
@@ -59,9 +60,7 @@ _CSV_BREAKERS = (",", '"', "\r", "\n")
 class Scenario:
     """A delay sweep over one duty-cycle set, built by ``scenario_from_config``.
 
-    Empty ``delay_offsets_ms`` and ``loss_rates`` stand for the per-VSTA
-    defaults, which are filled in on construction; ``plan`` is the slot
-    plan of the duty cycles and slot time.
+    ``plan`` is the slot plan of the duty cycles and slot time.
     """
 
     name: str
@@ -84,10 +83,8 @@ class Scenario:
             )
         if not self.delays_ms:
             raise ConfigError("delays_ms: sweep must be non-empty")
-        if not self.delay_offsets_ms:
-            object.__setattr__(self, "delay_offsets_ms", (0.0,) * n)
-        if not self.loss_rates:
-            object.__setattr__(self, "loss_rates", (DEFAULT_LOSS_RATE,) * n)
+        if len(self.delays_ms) > MAX_SWEEP_DELAYS:
+            raise ConfigError(f"delays_ms: sweep has more than {MAX_SWEEP_DELAYS} delays")
         if len(self.delay_offsets_ms) != n:
             raise ConfigError(
                 f"delay_offsets_ms: expected {n} entries, got {len(self.delay_offsets_ms)}"
@@ -202,6 +199,7 @@ def expand_delays(sweep) -> tuple[float, ...]:
         span = (stop - start) / step + 1e-9
         if span < 0:
             raise ConfigError("delays_ms: empty sweep range")
+        # Scenario checks the length of every sweep, but this one must not be built
         if not span < MAX_SWEEP_DELAYS:
             raise ConfigError(f"delays_ms: sweep has more than {MAX_SWEEP_DELAYS} delays")
         return tuple(start + k * step for k in range(int(math.floor(span)) + 1))
@@ -215,7 +213,8 @@ def scenario_from_config(config: dict) -> Scenario:
 
     Unknown keys are errors: a silent typo would corrupt an experiment.
     So are values of the wrong JSON type, which are never coerced.  The
-    name defaults to ``custom``.
+    name defaults to ``custom``; a missing or empty ``delay_offsets_ms``
+    or ``loss_rate`` list to 0 ms and ``DEFAULT_LOSS_RATE`` per VSTA.
     """
     if not isinstance(config, dict):
         raise ConfigError("scenario config must be a mapping")
@@ -230,9 +229,10 @@ def scenario_from_config(config: dict) -> Scenario:
         duty = DutyCycleSet(fractions)
     except ValueError as exc:
         raise ConfigError(f"duty_cycles: {exc}") from exc
+    n = duty.n_vstas
     loss = config.get("loss_rate", ())
     loss_rates = _numbers("loss_rate", loss) if isinstance(loss, (list, tuple)) else (
-        (_number("loss_rate", loss),) * duty.n_vstas
+        (_number("loss_rate", loss),) * n
     )
     algorithms = config.get("algorithms", ("nopolicy", "minmax"))
     if not (isinstance(algorithms, (list, tuple)) and all(isinstance(a, str) for a in algorithms)):
@@ -251,8 +251,10 @@ def scenario_from_config(config: dict) -> Scenario:
         duty_cycles=duty,
         slot_time_ms=_number("slot_time_ms", config["slot_time_ms"]),
         delays_ms=expand_delays(config["delays_ms"]),
-        delay_offsets_ms=_numbers("delay_offsets_ms", config.get("delay_offsets_ms", ())),
-        loss_rates=loss_rates,
+        delay_offsets_ms=(
+            _numbers("delay_offsets_ms", config.get("delay_offsets_ms", ())) or (0.0,) * n
+        ),
+        loss_rates=loss_rates or (DEFAULT_LOSS_RATE,) * n,
         mss_bytes=_integer("mss_bytes", config.get("mss_bytes", DEFAULT_MSS_BYTES)),
         sampler=sampler,
         algorithms=tuple(algorithms),
@@ -414,13 +416,9 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
             for v, path in enumerate(paths, start=1)
         ]
         ths = [vsta_throughput(path, rtt) for path, rtt in zip(paths, rtts)]
-        # the upper-bound search adds up the VSTAs in order, so the
-        # aggregate is the number it maximizes; sum() compensates float
-        # sums from Python 3.12 on
-        agg = 0.0
-        for th in ths:
-            agg += th
-        return rtts, ths, agg
+        # the upper-bound search adds up its rows with vsta_sum too, so the
+        # aggregate is the number it maximizes
+        return rtts, ths, vsta_sum(ths)
 
     schedules: dict[str, SlotSchedule] = {}
     # results[alg][k]: (per-VSTA mean RTTs, throughputs, aggregate) at delay k

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minislot import rttmodel
-from minislot._kernels import rtt_samples, send_times
+from minislot._kernels import rtt_samples
 from minislot.allocation import minmax_allocate
 from minislot.rttmodel import (
     MathisValidityError,
@@ -153,15 +153,15 @@ class TestSampleRtts:
 
         starts = np.array([s for s, _ in intervals])
         ends = np.array([e for _, e in intervals])
-        sends = send_times(starts, ends, offsets)
+        # each offset's window, and its wall-clock send time
+        cum = np.concatenate(([0.0], np.cumsum(widths)))
+        idx = np.searchsorted(cum[1:], offsets, side="right")
+        sends = starts[idx] + (offsets - cum[idx])
         got = rtt_samples(starts, ends, sends, delay, case2_contiguous.period_ms)
 
-        cum = np.concatenate(([0.0], np.cumsum(widths)))
-        for k, off in enumerate(offsets):
-            i = int(np.searchsorted(cum[1:], off, side="right"))
-            send = starts[i] + (off - cum[i])
+        for rtt, send in zip(got, sends):
             expected = rtt_for_send_time(case2_contiguous, vsta, float(send), delay)
-            assert got[k] == pytest.approx(expected, abs=1e-9)
+            assert rtt == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("vsta", (1, 2))
     @pytest.mark.parametrize("delay", (20.0, 55.0))

@@ -41,6 +41,13 @@ class JsonDigits(str):
         return f"<{len(self)}-digit integer>"
 
 
+class Delays(list):
+    """A delay list that test ids name by its length."""
+
+    def __repr__(self):
+        return f"<{len(self)} delays>"
+
+
 def write_json(path, config):
     """``json.dumps(config)`` with each ``JsonDigits`` value unquoted.
 
@@ -76,6 +83,7 @@ BAD_INPUTS = [
     ({}, ["--seed", "-1"], "seed"),
     # too large to build, or not finite
     ({"delays_ms": {"start": 0, "stop": 1e9, "step": 1e-9}}, [], "delays_ms"),
+    ({"delays_ms": Delays(range(10_001)), "algorithms": ["nopolicy"]}, [], "delays_ms"),
     ({"duty_cycles": [1e-9, 1 - 1e-9]}, [], "duty_cycles"),
     ({"duty_cycles": [1e-320, 1.0]}, [], "duty_cycles"),
     ({"duty_cycles": [1e308, 1e308]}, [], "duty_cycles"),
@@ -182,6 +190,19 @@ class TestScenarioFromConfig:
         config = dict(SMALL_CONFIG, loss_rate=[0.001, 0.002])
         scenario = scenario_from_config(config)
         assert scenario.loss_rates == (0.001, 0.002)
+
+    @pytest.mark.parametrize("lists", ({}, {"delay_offsets_ms": [], "loss_rate": []}))
+    def test_missing_or_empty_lists_take_the_defaults(self, lists):
+        scenario = scenario_from_config(dict(SMALL_CONFIG, **lists))
+        assert scenario.delay_offsets_ms == (0.0, 0.0)
+        assert scenario.loss_rates == (rttmodel.DEFAULT_LOSS_RATE,) * 2
+
+    @pytest.mark.parametrize(
+        "sweep", (list(range(10_000)), {"start": 0, "stop": 9_999, "step": 1}),
+        ids=("list", "range"),
+    )
+    def test_longest_sweep_accepted_in_either_form(self, sweep):
+        assert len(scenario_from_config(dict(SMALL_CONFIG, delays_ms=sweep)).delays_ms) == 10_000
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
