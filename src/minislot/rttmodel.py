@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def sweep_rtt_samples(
         yield rtt_samples(starts, ends, sends, delay, period)
 
 
-def vsta_sum(values):
+def vsta_sum(values: Iterable):
     """Sum of per-VSTA floats or numpy columns, added one at a time in VSTA order.
 
     The objectives, the searches' row scores and the CSV aggregate all
