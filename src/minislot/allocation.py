@@ -56,15 +56,14 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """An allocator's schedule and its scores.
+    """An allocator's schedule, its score and the work done.
 
-    ``evaluations`` is the work done: the owner vectors scored, for the
+    ``evaluations`` counts the ``SearchTable`` rows scored, for the
     exhaustive searches; for min-max, the completion checks of its
     middle VSTAs' picks plus one each for the first and last VSTA.
     """
 
     schedule: SlotSchedule
-    per_vsta_max_disconnection: tuple[float, ...]
     objective_value: float
     evaluations: int
 
@@ -97,31 +96,14 @@ def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
         arr[i + 1:] = reversed(arr[i + 1:])
 
 
-def enumerate_schedules(plan: SlotPlan) -> tuple[Iterator[SlotSchedule], int]:
-    """Stream of every feasible schedule, plus the total count.
-
-    Rotations of the same cyclic arrangement are enumerated as
-    distinct owner vectors.  More than ``MAX_OWNER_VECTORS`` raise
-    ``EnumerationBudgetError`` before any is built.
-    """
-    count = schedule_count(plan)
-    if count > MAX_OWNER_VECTORS:
-        raise EnumerationBudgetError(count, MAX_OWNER_VECTORS)
-
-    def gen() -> Iterator[SlotSchedule]:
-        for owners in _multiset_permutations(plan.slot_counts):
-            yield SlotSchedule.from_owners(plan, owners)
-
-    return gen(), count
-
-
 class SearchTable:
     """Every feasible owner vector of a plan, with what the searches score.
 
     Rows are owner vectors in lexicographic order, so a first argmax or
     argmin over a row score keeps the lexicographically smallest
-    winner.  The table holds numpy arrays, not one ``SlotSchedule`` per
-    row:
+    winner; more than ``MAX_OWNER_VECTORS`` rows raise
+    ``EnumerationBudgetError`` before any is built.  The table holds
+    numpy arrays, not one ``SlotSchedule`` per row:
 
     * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
@@ -129,15 +111,18 @@ class SearchTable:
     """
 
     def __init__(self, plan: SlotPlan):
-        schedules, count = enumerate_schedules(plan)
+        count = schedule_count(plan)
+        if count > MAX_OWNER_VECTORS:
+            raise EnumerationBudgetError(count, MAX_OWNER_VECTORS)
         self.plan = plan
         self.count = count
         n = plan.n_vstas
         self.owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
         self.pattern = np.empty((count, n), np.int32)
         interned: list[dict[tuple, int]] = [{} for _ in range(n)]
-        for s, schedule in enumerate(schedules):
-            self.owners[s] = schedule.owners
+        for s, owners in enumerate(_multiset_permutations(plan.slot_counts)):
+            schedule = SlotSchedule(plan, owners)
+            self.owners[s] = owners
             for v, ids in enumerate(interned, start=1):
                 self.pattern[s, v - 1] = ids.setdefault(window_pattern(schedule, v), len(ids))
         self.keys = [list(ids) for ids in interned]
@@ -221,7 +206,7 @@ def minmax_allocate(plan: SlotPlan) -> AllocationResult:
     # the last VSTA takes the leftovers
     owners = [owner_of.get(p, order[-1]) for p in range(1, total_slots + 1)]
     schedule = SlotSchedule.from_owners(plan, owners)
-    return _result(schedule, eq2_objective(schedule), evaluations)
+    return AllocationResult(schedule, eq2_objective(schedule), evaluations)
 
 
 def _minmax_pick(free: Sequence[int], g: int, total_slots: int) -> tuple[list[int], int]:
@@ -337,18 +322,7 @@ def _best_row(
         np.asarray(by_pattern)[table.pattern[:, v]] for v, by_pattern in enumerate(values)
     )
     best = int(pick(scores))
-    return _result(table.schedule(best), float(scores[best]), table.count)
-
-
-def _result(schedule: SlotSchedule, objective_value: float, evaluations: int) -> AllocationResult:
-    return AllocationResult(
-        schedule=schedule,
-        per_vsta_max_disconnection=tuple(
-            max_disconnection(schedule, v) for v in range(1, schedule.n_vstas + 1)
-        ),
-        objective_value=objective_value,
-        evaluations=evaluations,
-    )
+    return AllocationResult(table.schedule(best), float(scores[best]), table.count)
 
 
 def upper_bound_allocate(

@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 DUTY_SUM_TOLERANCE = 1e-6
 #: tolerance used for exact time comparisons (milliseconds)
 TIME_TOLERANCE = 1e-9
-#: most slots a plan may have.  Schedules are built and scanned slot by
-#: slot in Python: a one-delay ``nopolicy,minmax`` run at this bound took
-#: 0.18 s on a 2-core machine (slot counts 5000,3000,1999,1; 100 samples).
+#: most slots a plan may have.  Each VSTA's windows come from a scan of
+#: every slot, so a run costs about VSTAs x slots.  At this bound on a 2-core
+#: machine, one delay and 100 samples: ``nopolicy,minmax`` on slot counts
+#: 5000,3000,1999,1 took 0.2 s, ``nopolicy`` on 10,000 one-slot VSTAs 9-10 s.
 MAX_TOTAL_SLOTS = 10_000
 #: shortest slot time; ``window_pattern`` rounds window times to 1e-9 ms,
 #: a millionth of this

@@ -1,15 +1,17 @@
 import math
-from itertools import islice
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from minislot import allocation
 from minislot.allocation import (
     MAX_OWNER_VECTORS,
     EnumerationBudgetError,
     SearchTable,
     _evenly_spaced_positions,
     blind_allocate,
-    enumerate_schedules,
     eq1_penalty,
     eq2_objective,
     minmax_allocate,
@@ -60,6 +62,42 @@ def one_ms_plan(counts):
     return plan
 
 
+def all_owner_vectors(counts):
+    """Every owner vector of these slot counts, in lexicographic order.
+
+    Built from ``itertools.permutations``, not from the search's own
+    enumeration, so it is an independent reference for ``SearchTable``.
+    """
+    base = [vsta for vsta, g in enumerate(counts, start=1) for _ in range(g)]
+    return sorted(set(permutations(base)))
+
+
+@lru_cache(maxsize=None)
+def all_schedules(plan):
+    """Every feasible schedule of ``plan``, in lexicographic owner order."""
+    return tuple(SlotSchedule(plan, owners) for owners in all_owner_vectors(plan.slot_counts))
+
+
+def table_rows(table):
+    """The owner vectors of ``table``'s rows, as int tuples."""
+    return [tuple(row) for row in table.owners.tolist()]
+
+
+def worst_gaps(result):
+    """Each VSTA's worst disconnection (ms) in ``result``'s schedule."""
+    schedule = result.schedule
+    return tuple(max_disconnection(schedule, v) for v in range(1, schedule.n_vstas + 1))
+
+
+@st.composite
+def slot_counts(draw, max_slots=7):
+    """Per-VSTA slot counts, each at least one, of at most ``max_slots`` slots."""
+    counts = [draw(st.integers(min_value=1, max_value=max_slots))]
+    while sum(counts) < max_slots and draw(st.booleans()):
+        counts.append(draw(st.integers(min_value=1, max_value=max_slots - sum(counts))))
+    return tuple(counts)
+
+
 def make_worked_schedule():
     return SlotSchedule.from_owners(WORKED_PLAN, (1, 2, 3, 1, 2, 1))
 
@@ -97,36 +135,38 @@ class TestScheduleCount:
 
 
 class TestEnumeration:
+    """``SearchTable`` is the one enumerator of owner vectors."""
+
     def test_yields_exactly_count_distinct_vectors(self, case2_plan):
-        schedules, count = enumerate_schedules(case2_plan)
-        owners = [s.owners for s in schedules]
-        assert len(owners) == count == 280
+        table = SearchTable(case2_plan)
+        owners = table_rows(table)
+        assert len(owners) == table.count == 280
         assert len(set(owners)) == 280
 
     def test_lexicographic_order(self, case2_plan):
-        schedules, _ = enumerate_schedules(case2_plan)
-        owners = [s.owners for s in schedules]
+        owners = table_rows(SearchTable(case2_plan))
         assert owners == sorted(owners)
         assert owners[0] == (1, 1, 1, 1, 2, 3, 3, 3)
 
-    def test_budget_enforced_before_enumeration(self, ten_tenths_plan):
+    def test_budget_enforced_before_enumeration(self, ten_tenths_plan, monkeypatch):
+        def no_rows(counts):
+            raise AssertionError("a row was enumerated past the budget")
+
+        monkeypatch.setattr(allocation, "_multiset_permutations", no_rows)
         with pytest.raises(EnumerationBudgetError) as exc_info:
-            enumerate_schedules(ten_tenths_plan)
+            SearchTable(ten_tenths_plan)
         assert exc_info.value.count == 3_628_800
         assert exc_info.value.budget == MAX_OWNER_VECTORS == 1_000_000
 
     def test_slot_counts_respected(self, case3_plan):
-        schedules, _ = enumerate_schedules(case3_plan)
-        for sched in islice(schedules, 25):
+        for owners in table_rows(SearchTable(case3_plan)):
             for vsta, g in enumerate(case3_plan.slot_counts, start=1):
-                assert sched.owners.count(vsta) == g
+                assert owners.count(vsta) == g
 
     def test_multiset_permutation_count(self):
         plan = SlotPlan(period_ms=40.0, slot_counts=(2, 2), slot_sizes_ms=(10.0, 10.0))
-        schedules, count = enumerate_schedules(plan)
-        perms = [s.owners for s in schedules]
-        assert count == len(perms)
-        assert perms == [
+        table = SearchTable(plan)
+        assert table_rows(table) == [
             (1, 1, 2, 2),
             (1, 2, 1, 2),
             (1, 2, 2, 1),
@@ -134,6 +174,15 @@ class TestEnumeration:
             (2, 1, 2, 1),
             (2, 2, 1, 1),
         ]
+        assert table.count == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(slot_counts())
+    def test_rows_are_the_sorted_distinct_permutations(self, counts):
+        plan = SlotPlan(
+            period_ms=10.0 * sum(counts), slot_counts=counts, slot_sizes_ms=(10.0,) * len(counts)
+        )
+        assert table_rows(SearchTable(plan)) == all_owner_vectors(counts)
 
 
 class TestObjectives:
@@ -172,9 +221,7 @@ class TestMinmaxAllocate:
     def test_case2_reference(self, case2_plan):
         result = minmax_allocate(case2_plan)
         assert result.schedule.owners == (1, 3, 1, 3, 1, 3, 1, 2)
-        assert result.per_vsta_max_disconnection == pytest.approx(
-            (12.5, 87.5, 37.5), abs=1e-9
-        )
+        assert worst_gaps(result) == pytest.approx((12.5, 87.5, 37.5), abs=1e-9)
         assert result.evaluations == 12
 
     def test_case1_reference(self, case1_plan):
@@ -185,9 +232,7 @@ class TestMinmaxAllocate:
     def test_case3_reference(self, case3_plan):
         result = minmax_allocate(case3_plan)
         assert result.schedule.owners == (1, 1, 3, 1, 2, 1, 1, 1, 2)
-        assert result.per_vsta_max_disconnection == pytest.approx(
-            (12.5, 42.5, 90.0), abs=1e-6
-        )
+        assert worst_gaps(result) == pytest.approx((12.5, 42.5, 90.0), abs=1e-6)
         assert result.evaluations == 12
 
     def test_objective_matches_schedule(self, case2_plan):
@@ -208,7 +253,7 @@ class TestMinmaxAllocate:
         owners, worst = LARGER_PLANS[counts]
         result = minmax_allocate(one_ms_plan(counts))
         assert result.schedule.owners == tuple(map(int, owners))
-        assert result.per_vsta_max_disconnection == pytest.approx(worst, abs=1e-9)
+        assert worst_gaps(result) == pytest.approx(worst, abs=1e-9)
 
     def test_exact_past_the_old_budget(self):
         """Past 1,000,000 combinations min-max once took the free position
@@ -226,7 +271,7 @@ class TestMinmaxAllocate:
         assert crowded.schedule.owners == tuple(
             map(int, "1221212123123121312312312131231231214123")
         )
-        assert crowded.per_vsta_max_disconnection == pytest.approx((2, 3, 9, 39), abs=1e-9)
+        assert worst_gaps(crowded) == pytest.approx((2, 3, 9, 39), abs=1e-9)
         assert crowded.evaluations == 163
 
     def test_evenly_spaced_positions_are_distinct(self):
@@ -249,8 +294,7 @@ class TestBlindAllocate:
 
     def test_eq2_dominates_every_schedule(self, case3_plan):
         best = blind_allocate(SearchTable(case3_plan), "eq2").objective_value
-        schedules, _ = enumerate_schedules(case3_plan)
-        assert all(eq2_objective(s) <= best + 1e-12 for s in schedules)
+        assert all(eq2_objective(s) <= best + 1e-12 for s in all_schedules(case3_plan))
 
     def test_eq1_requires_paths(self, case2_plan):
         with pytest.raises(ValueError, match="path"):
@@ -263,8 +307,7 @@ class TestBlindAllocate:
     def test_eq1_dominates_every_schedule(self, case2_plan):
         paths = [PathParams(delay_ms=d) for d in (30.0, 50.0, 70.0)]
         best = blind_allocate(SearchTable(case2_plan), "eq1", paths=paths).objective_value
-        schedules, _ = enumerate_schedules(case2_plan)
-        assert all(eq1_penalty(s, paths) >= best - 1e-9 for s in schedules)
+        assert all(eq1_penalty(s, paths) >= best - 1e-9 for s in all_schedules(case2_plan))
 
     def test_unknown_objective(self, case2_plan):
         with pytest.raises(ValueError, match="objective"):
@@ -312,20 +355,10 @@ class TestMaxDisconnectionConsistency:
         read from the window pattern bit for bit; case3's slot sizes are not
         exact, and a walk over the slots differs there by up to 3.3e-10 ms."""
         plan = plan_named(name)
-        schedules, _ = enumerate_schedules(plan)
-        for schedule in schedules:
+        for schedule in all_schedules(plan):
             for v in range(1, plan.n_vstas + 1):
                 gaps = [gap for _, gap in window_pattern(schedule, v)]
                 assert max_disconnection(schedule, v) == max(gaps)
-
-    def test_results_agree_with_schedule_module(self, case3_plan):
-        blind = blind_allocate(SearchTable(case3_plan), "eq2")
-        for result in (minmax_allocate(case3_plan), blind):
-            direct = tuple(
-                max_disconnection(result.schedule, v)
-                for v in range(1, case3_plan.n_vstas + 1)
-            )
-            assert result.per_vsta_max_disconnection == direct
 
 
 # (duty cycles, slot time): case1-3, a single VSTA, and two VSTAs whose
@@ -345,14 +378,14 @@ def plan_named(name):
 
 
 def brute_force(plan, score, better):
-    """The search as a plain loop over enumerate_schedules (the reference)."""
+    """The search as a plain loop over ``all_schedules`` (the reference)."""
     best = best_score = None
-    schedules, count = enumerate_schedules(plan)
+    schedules = all_schedules(plan)
     for schedule in schedules:
         value = score(schedule)
         if best is None or better(value, best_score):
             best, best_score = schedule, value
-    return best.owners, best_score, count
+    return best.owners, best_score, len(schedules)
 
 
 class TestSearchTable:
@@ -360,8 +393,8 @@ class TestSearchTable:
     def test_matches_schedule_functions(self, name):
         plan = plan_named(name)
         table = SearchTable(plan)
-        schedules, count = enumerate_schedules(plan)
-        assert table.count == count
+        schedules = all_schedules(plan)
+        assert table.count == len(schedules)
         for s, schedule in enumerate(schedules):
             assert tuple(table.owners[s]) == schedule.owners
             assert table.schedule(s) == schedule

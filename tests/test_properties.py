@@ -2,7 +2,6 @@
 import math
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -222,29 +221,3 @@ class TestAllocationProperties:
         chosen, _ = _minmax_pick(free, g, total)
         assert chosen == brute_force_minmax(free, g, total)
 
-
-class TestAnalyticAgreement:
-    def test_sampled_mean_matches_closed_form(self):
-        """Contiguous 50% duty cycle, T = 100 ms, wired delay 50 ms.
-
-        Every ack lands in the disconnected half, so RTT = 100 - t for
-        a send at t in [0, 50).  The sampled mean must sit within three
-        standard errors of the closed-form mean over the wrapped
-        exponential send distribution.
-        """
-        plan = derive_slot_plan(DutyCycleSet([0.5, 0.5]), 50.0)
-        schedule = build_contiguous_schedule(plan)
-        cfg = RttSamplerConfig(seed=12345 ^ 1)
-        (sampled,) = sample_rtts(window_pattern(schedule, 1), (50.0,), cfg).means_ms
-
-        window, mean = 50.0, 0.25 * 50.0
-        # E[t mod window] for an exponential send offset t
-        wrapped_mean = mean - window * math.exp(-window / mean) / (
-            1.0 - math.exp(-window / mean)
-        )
-        analytic_mean = 100.0 - wrapped_mean
-
-        rng = np.random.default_rng(cfg.seed)
-        samples = rng.exponential(mean, cfg.n_samples) % window
-        stderr = float(np.std(100.0 - samples, ddof=1)) / math.sqrt(cfg.n_samples)
-        assert abs(sampled - analytic_mean) <= 3.0 * stderr
