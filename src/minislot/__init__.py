@@ -18,7 +18,6 @@ from .rttmodel import (
     RttStats,
     ThroughputEvaluator,
     mathis_throughput,
-    rtt_for_send_time,
     sample_rtts,
 )
 from .scenarios import (
@@ -36,7 +35,6 @@ from .schedule import (
     SlotPlan,
     SlotSchedule,
     build_contiguous_schedule,
-    connected_intervals,
     derive_slot_plan,
     disconnection_costs,
     max_disconnection,
@@ -62,7 +60,6 @@ __all__ = [
     "blind_allocate",
     "build_contiguous_schedule",
     "builtin_scenarios",
-    "connected_intervals",
     "derive_slot_plan",
     "disconnection_costs",
     "emit_csv",
@@ -71,7 +68,6 @@ __all__ = [
     "mathis_throughput",
     "max_disconnection",
     "minmax_allocate",
-    "rtt_for_send_time",
     "run_scenario",
     "sample_rtts",
     "scenario_from_config",

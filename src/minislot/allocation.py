@@ -35,7 +35,7 @@ import numpy as np
 from .rttmodel import (
     PathParams, ThroughputEvaluator, mathis_throughput, vsta_sum, vsta_throughput,
 )
-from .schedule import SlotPlan, SlotSchedule, max_disconnection, window_pattern, worst_gap
+from .schedule import SlotPlan, SlotSchedule, max_disconnection, worst_gap
 
 #: most owner vectors an exhaustive search enumerates; the table is built
 #: row by row in Python (277,200 rows take about 12 s), so one at this
@@ -121,10 +121,11 @@ class SearchTable:
         self.pattern = np.empty((count, n), np.int32)
         interned: list[dict[tuple, int]] = [{} for _ in range(n)]
         for s, owners in enumerate(_multiset_permutations(plan.slot_counts)):
-            schedule = SlotSchedule(plan, owners)
             self.owners[s] = owners
-            for v, ids in enumerate(interned, start=1):
-                self.pattern[s, v - 1] = ids.setdefault(window_pattern(schedule, v), len(ids))
+            self.pattern[s] = [
+                ids.setdefault(key, len(ids))
+                for ids, key in zip(interned, SlotSchedule(plan, owners).window_patterns)
+            ]
         self.keys = [list(ids) for ids in interned]
 
     def schedule(self, s: int) -> SlotSchedule:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import rtt_samples
-from .schedule import SlotSchedule, connected_intervals, window_pattern
+from .schedule import SlotSchedule, window_pattern
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
@@ -107,42 +107,6 @@ class RttStats:
 
     means_ms: tuple[float, ...]
     n: int
-
-
-def rtt_for_send_time(
-    schedule: SlotSchedule, vsta: int, send_ms: float, delay_ms: float
-) -> float:
-    """Observed RTT of a packet sent at ``send_ms`` (periodic extension).
-
-    The ack lands ``delay_ms`` after the send; if the VSTA is
-    disconnected at that instant the ack waits in the AP buffer until
-    the next owned slot starts.  The send instant must fall inside a
-    connected interval: a disconnected VSTA has no pending ack to
-    trigger new data in TCP steady state.
-    """
-    if not 0.0 <= delay_ms < math.inf:
-        raise ValueError(f"delay must be finite and >= 0, got {delay_ms}")
-    intervals = connected_intervals(schedule, vsta)
-    period = schedule.period_ms
-    send_phase = send_ms % period
-    if not any(s <= send_phase < e for s, e in intervals):
-        raise ValueError(
-            f"send time {send_ms} ms falls outside the connected time of VSTA {vsta}"
-        )
-    phase = (send_ms + delay_ms) % period
-    return delay_ms + _wait_until_connected(intervals, phase, period)
-
-
-def _wait_until_connected(
-    intervals: list[tuple[float, float]], phase: float, period: float
-) -> float:
-    for start, end in intervals:
-        if start <= phase:
-            if phase < end:
-                return 0.0
-        else:
-            return start - phase
-    return (period + intervals[0][0]) - phase
 
 
 def sample_rtts(

@@ -5,15 +5,17 @@ virtual stations (VSTAs), one per access point.  Each VSTA ``i`` is
 granted a duty cycle ``f_i`` (fractions sum to one) and receives
 ``g_i`` slots per period.  This module derives the slot plan from a
 duty-cycle set, builds concrete schedules (ordered slot-to-VSTA
-assignments with wall-clock start times) and computes what one VSTA
-sees of a schedule: its connected windows, their pattern of lengths
-and gaps, and its circular disconnection costs (how long it stays off
-the air between two of its consecutive slots).
+assignments with wall-clock start times) and reads what each VSTA
+sees of a schedule from one scan of its slots: the pattern of its
+connected windows' lengths and of the gaps between them, and from that
+its circular disconnection costs (how long it stays off the air between
+two of its consecutive slots).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -21,10 +23,12 @@ from typing import Iterable, Sequence
 DUTY_SUM_TOLERANCE = 1e-6
 #: tolerance used for exact time comparisons (milliseconds)
 TIME_TOLERANCE = 1e-9
-#: most slots a plan may have.  Each VSTA's windows come from a scan of
-#: every slot, so a run costs about VSTAs x slots.  At this bound on a 2-core
-#: machine, one delay and 100 samples: ``nopolicy,minmax`` on slot counts
-#: 5000,3000,1999,1 took 0.2 s, ``nopolicy`` on 10,000 one-slot VSTAs 9-10 s.
+#: most slots a plan may have.  One scan of the slots gives every VSTA's
+#: windows.  At this bound on a 2-core machine, one delay and 100 samples,
+#: in-process: ``nopolicy,minmax`` on slot counts 5000,3000,1999,1 took
+#: 0.10-0.18 s; ``nopolicy`` on 10,000 one-slot VSTAs 2.9-3.8 s, 1.4-1.8 s
+#: of it in ``SlotSchedule``'s owner-count check (one count per VSTA) and
+#: most of the rest in 10,000 separate RTT draws, one per VSTA.
 MAX_TOTAL_SLOTS = 10_000
 #: shortest slot time; ``window_pattern`` rounds window times to 1e-9 ms,
 #: a millionth of this
@@ -180,22 +184,36 @@ class SlotSchedule:
         """Build a schedule for ``plan`` from an owner-per-slot vector."""
         return cls(plan, tuple(int(o) for o in owners))
 
-    def positions(self, vsta: int) -> tuple[int, ...]:
-        """1-based slot positions owned by ``vsta``, ascending."""
-        _check_vsta(self, vsta)
-        return tuple(j + 1 for j, o in enumerate(self.owners) if o == vsta)
+    @cached_property
+    def window_patterns(self) -> tuple[tuple, ...]:
+        """Every VSTA's ``window_pattern``, by VSTA index, from one scan of the slots.
 
-    def rotated(self, k: int) -> "SlotSchedule":
-        """Schedule with its owners rotated circularly by ``k`` slots."""
-        k %= self.n_slots
-        return SlotSchedule(self.plan, self.owners[k:] + self.owners[:k])
-
-
-def _check_vsta(schedule: SlotSchedule, vsta: int) -> None:
-    if not 1 <= vsta <= schedule.n_vstas:
-        raise ValueError(
-            f"unknown VSTA index {vsta} (schedule has {schedule.n_vstas} VSTAs)"
-        )
+        A VSTA's windows are its owned slots, adjacent ones (within
+        ``TIME_TOLERANCE``) merged, in one period from time 0.  Built on
+        first read and kept in the instance ``__dict__``, so it takes no
+        part in equality or hashing.
+        """
+        # starts[v - 1], ends[v - 1]: where VSTA v's windows so far begin and end
+        starts: list[list[float]] = [[] for _ in range(self.n_vstas)]
+        ends: list[list[float]] = [[] for _ in range(self.n_vstas)]
+        for owner, start, duration in zip(self.owners, self.start_times_ms, self.durations_ms):
+            own_ends = ends[owner - 1]
+            if own_ends and abs(own_ends[-1] - start) <= TIME_TOLERANCE:
+                own_ends[-1] = start + duration
+            else:
+                starts[owner - 1].append(start)
+                own_ends.append(start + duration)
+        period = self.period_ms
+        patterns = []
+        for own_starts, own_ends in zip(starts, ends):
+            nexts = own_starts[1:] + [period + own_starts[0]]
+            # a tuple of a list, not of a generator: that one grows by
+            # resizing and, freed, fills the tuple free lists (0.3 MiB of RSS)
+            patterns.append(tuple([
+                (round(end - start, 9), round(nxt - end, 9))
+                for start, end, nxt in zip(own_starts, own_ends, nexts)
+            ]))
+        return tuple(patterns)
 
 
 def build_contiguous_schedule(plan: SlotPlan) -> SlotSchedule:
@@ -206,62 +224,31 @@ def build_contiguous_schedule(plan: SlotPlan) -> SlotSchedule:
     return SlotSchedule.from_owners(plan, owners)
 
 
-def disconnection_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
-    """Summed durations of the slots between consecutive owned positions.
-
-    Entry ``l`` covers the slots strictly between the VSTA's ``l``-th
-    and ``(l+1)``-th owned positions; the last entry wraps circularly
-    back to the first owned position.
-    """
-    positions = schedule.positions(vsta)
-    if not positions:
-        raise ValueError(f"VSTA {vsta} owns no slot")
-    g = len(positions)
-    n = schedule.n_slots
-    costs = []
-    for l in range(g):
-        here = positions[l] - 1
-        nxt = positions[(l + 1) % g] - 1
-        total = 0.0
-        j = (here + 1) % n
-        while j != nxt:
-            total += schedule.durations_ms[j]
-            j = (j + 1) % n
-        costs.append(total)
-    return costs
-
-
-def connected_intervals(schedule: SlotSchedule, vsta: int) -> list[tuple[float, float]]:
-    """Sorted, disjoint half-open [start, end) windows of ``vsta`` in one period.
-
-    Adjacent owned slots merge into a single window.
-    """
-    _check_vsta(schedule, vsta)
-    intervals: list[tuple[float, float]] = []
-    for j, owner in enumerate(schedule.owners):
-        if owner != vsta:
-            continue
-        start = schedule.start_times_ms[j]
-        end = start + schedule.durations_ms[j]
-        if intervals and abs(intervals[-1][1] - start) <= TIME_TOLERANCE:
-            intervals[-1] = (intervals[-1][0], end)
-        else:
-            intervals.append((start, end))
-    if not intervals:
-        raise ValueError(f"VSTA {vsta} owns no slot")
-    return intervals
-
-
 def window_pattern(schedule: SlotSchedule, vsta: int) -> tuple:
     """Each window's (length, gap to the next window) in ms, rounded, from the first window."""
-    intervals = connected_intervals(schedule, vsta)
-    period = schedule.period_ms
-    windows = []
-    for i, (start, end) in enumerate(intervals):
-        nxt = intervals[(i + 1) % len(intervals)][0]
-        gap = nxt - end if i + 1 < len(intervals) else (period + nxt) - end
-        windows.append((round(end - start, 9), round(gap, 9)))
-    return tuple(windows)
+    if not 1 <= vsta <= schedule.n_vstas:
+        raise ValueError(
+            f"unknown VSTA index {vsta} (schedule has {schedule.n_vstas} VSTAs)"
+        )
+    return schedule.window_patterns[vsta - 1]
+
+
+def disconnection_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
+    """The off-air time after each of ``vsta``'s owned slots, in ms, from the first.
+
+    Entry ``l`` covers the time between the VSTA's ``l``-th and
+    ``(l+1)``-th owned slots; the last entry wraps circularly back to
+    the first.  Read from the window pattern: a VSTA's slots all have
+    one size, so a window of ``k`` slots gives ``k - 1`` zeros and then
+    its gap.
+    """
+    pattern = window_pattern(schedule, vsta)
+    size = schedule.plan.slot_sizes_ms[vsta - 1]
+    costs: list[float] = []
+    for length, gap in pattern:
+        costs.extend([0.0] * (round(length / size) - 1))
+        costs.append(gap)
+    return costs
 
 
 def worst_gap(pattern: tuple) -> float:

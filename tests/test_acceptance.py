@@ -197,7 +197,7 @@ def test_criterion_8_rtt_plateau():
     )
 
 
-def test_criterion_9_property_suite():
+def test_criterion_9_property_suite(rotated):
     rng = np.random.default_rng(2024)
     plan = derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5)
     checks = []
@@ -226,7 +226,7 @@ def test_criterion_9_property_suite():
         # rotation invariance of the allocation objective
         k = int(rng.integers(1, schedule.n_slots))
         checks.append(
-            abs(eq2_objective(schedule.rotated(k)) - eq2_objective(schedule))
+            abs(eq2_objective(rotated(schedule, k)) - eq2_objective(schedule))
             <= 1e-9 * abs(eq2_objective(schedule))
         )
 

@@ -195,11 +195,11 @@ class TestObjectives:
         plan = derive_slot_plan(DutyCycleSet([1.0]), 10.0)
         assert eq2_objective(build_contiguous_schedule(plan)) == math.inf
 
-    def test_eq2_rotation_invariant(self):
+    def test_eq2_rotation_invariant(self, rotated):
         sched = make_worked_schedule()
         base = eq2_objective(sched)
         for k in range(1, sched.n_slots):
-            assert eq2_objective(sched.rotated(k)) == pytest.approx(base, rel=1e-12)
+            assert eq2_objective(rotated(sched, k)) == pytest.approx(base, rel=1e-12)
 
     def test_eq1_prefers_shorter_worst_gaps(self, case2_plan):
         paths = [PathParams(delay_ms=50.0)] * 3

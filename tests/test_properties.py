@@ -14,6 +14,7 @@ from minislot.allocation import (
 )
 from minislot.rttmodel import RttSamplerConfig, sample_rtts, sweep_rtt_samples
 from minislot.schedule import (
+    MIN_SLOT_TIME_MS,
     DutyCycleSet,
     SlotPlan,
     SlotSchedule,
@@ -53,14 +54,16 @@ def schedules(draw):
 
 
 @st.composite
-def sized_schedules(draw):
+def sized_schedules(draw, max_size=1e6):
     """A random owner permutation of a plan with arbitrary slot sizes.
 
-    The sizes span nine decades and are not derived from duty cycles, so
-    a start time rounded from intermediate sums would show.
+    The sizes span up to nine decades and are not derived from duty
+    cycles, so a start time rounded from intermediate sums would show.
     """
     n = draw(st.integers(min_value=1, max_value=4))
-    sizes = draw(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=n, max_size=n))
+    sizes = draw(st.lists(
+        st.floats(min_value=MIN_SLOT_TIME_MS, max_value=max_size), min_size=n, max_size=n
+    ))
     counts = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
     owners = [vsta for vsta, g in enumerate(counts, start=1) for _ in range(g)]
     period = math.fsum(g * size for g, size in zip(counts, sizes))
@@ -84,6 +87,34 @@ def brute_force_minmax(free, g, total_slots):
     def largest_gap(combo):
         return max(b - a for a, b in zip(combo, combo[1:] + (combo[0] + total_slots,)))
     return list(min(combinations(free, g), key=largest_gap))
+
+
+def slot_walk_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
+    """Disconnection costs summed slot by slot, not read from the window pattern.
+
+    Entry ``l`` adds up the durations of the slots strictly between the
+    VSTA's ``l``-th and ``(l+1)``-th owned positions, circularly.
+    """
+    owned = [j for j, owner in enumerate(schedule.owners) if owner == vsta]
+    n = schedule.n_slots
+    costs = []
+    for here, nxt in zip(owned, owned[1:] + owned[:1]):
+        total = 0.0
+        j = (here + 1) % n
+        while j != nxt:
+            total += schedule.durations_ms[j]
+            j = (j + 1) % n
+        costs.append(total)
+    return costs
+
+
+def reference_pattern(intervals, period):
+    """``window_pattern`` of the [start, end) ``intervals`` of one period."""
+    nexts = [start for start, _ in intervals[1:]] + [period + intervals[0][0]]
+    return tuple(
+        (round(end - start, 9), round(nxt - end, 9))
+        for (start, end), nxt in zip(intervals, nexts)
+    )
 
 
 def oracle_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
@@ -142,16 +173,36 @@ class TestScheduleProperties:
             worst = max(disconnection_costs(schedule, vsta))
             assert abs(max_disconnection(schedule, vsta) - worst) <= 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(sized_schedules(max_size=100.0))
+    def test_one_scan_matches_per_vsta_references(self, connected_intervals, schedule):
+        """``window_patterns`` is the per-VSTA reference scan, bit for bit,
+        and the costs read from it are the slot-by-slot sums.
+
+        Slot sizes of at most 100 ms keep the period below 2e4 ms, where
+        the slot walk's float sums and the pattern's 1e-9 ms rounding
+        together stay under 1e-9 ms.
+        """
+        assert schedule.window_patterns == tuple(
+            reference_pattern(connected_intervals(schedule, vsta), schedule.period_ms)
+            for vsta in range(1, schedule.n_vstas + 1)
+        )
+        for vsta in range(1, schedule.n_vstas + 1):
+            got = disconnection_costs(schedule, vsta)
+            want = slot_walk_costs(schedule, vsta)
+            assert len(got) == len(want)
+            assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
+
     @settings(max_examples=40, deadline=None)
     @given(schedules(), st.integers(min_value=1, max_value=8))
-    def test_rotation_preserves_cost_multiset_and_eq2(self, plan_schedule, shift):
+    def test_rotation_preserves_cost_multiset_and_eq2(self, rotated, plan_schedule, shift):
         plan, schedule = plan_schedule
-        rotated = schedule.rotated(shift % schedule.n_slots)
+        turned = rotated(schedule, shift % schedule.n_slots)
         for vsta in range(1, plan.n_vstas + 1):
-            assert sorted(disconnection_costs(rotated, vsta)) == pytest.approx(
+            assert sorted(disconnection_costs(turned, vsta)) == pytest.approx(
                 sorted(disconnection_costs(schedule, vsta)), abs=1e-6
             )
-        assert eq2_objective(rotated) == pytest.approx(
+        assert eq2_objective(turned) == pytest.approx(
             eq2_objective(schedule), rel=1e-9
         )
 

@@ -12,6 +12,7 @@ from minislot.schedule import (
     derive_slot_plan,
     disconnection_costs,
     max_disconnection,
+    window_pattern,
 )
 
 
@@ -163,6 +164,13 @@ class TestMaxDisconnection:
     def test_worked_example(self, worked_schedule):
         assert max_disconnection(worked_schedule, 1) == pytest.approx(25.0)
 
+    @pytest.mark.parametrize("read", [window_pattern, max_disconnection, disconnection_costs])
+    @pytest.mark.parametrize("vsta", [0, 4])
+    def test_unknown_vsta(self, worked_schedule, read, vsta):
+        # window_patterns[-1] would be VSTA 3's pattern
+        with pytest.raises(ValueError, match="unknown VSTA"):
+            read(worked_schedule, vsta)
+
 
 class TestSlotScheduleValidation:
     def test_from_owners_rejects_wrong_counts(self):
@@ -184,26 +192,26 @@ class TestSlotScheduleValidation:
         with pytest.raises(ValueError, match="must own"):
             SlotSchedule.from_owners(WORKED_PLAN, (1, 2, 4, 1, 2, 1))
 
-    def test_equal_plan_and_owners_are_equal(self, worked_schedule):
+    def test_equal_plan_and_owners_are_equal(self, worked_schedule, rotated):
         again = SlotSchedule.from_owners(WORKED_PLAN, list(WORKED_OWNERS))
         assert again == worked_schedule and hash(again) == hash(worked_schedule)
-        assert worked_schedule.rotated(1) != worked_schedule
+        # the cached window patterns take no part in equality or hashing
+        assert worked_schedule.window_patterns
+        assert again == worked_schedule and hash(again) == hash(worked_schedule)
+        assert rotated(worked_schedule, 1) != worked_schedule
 
     def test_rotations_of_case3_minmax(self):
         plan = derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0)
-        schedule = minmax_allocate(plan).schedule
-        owners = schedule.owners
-        for k in range(schedule.n_slots):
-            rotated = schedule.rotated(k)
-            assert rotated == SlotSchedule.from_owners(plan, owners[k:] + owners[:k])
+        owners = minmax_allocate(plan).schedule.owners
+        for k in range(len(owners)):
+            rotated = SlotSchedule.from_owners(plan, owners[k:] + owners[:k])
             assert rotated.start_times_ms == tuple(
                 math.fsum(rotated.durations_ms[:j]) for j in range(rotated.n_slots)
             )
 
-    def test_rotation_preserves_cost_multiset(self, worked_schedule):
+    def test_rotation_preserves_cost_multiset(self, worked_schedule, rotated):
         base = sorted(disconnection_costs(worked_schedule, 1))
         for k in range(1, worked_schedule.n_slots):
-            rotated = worked_schedule.rotated(k)
-            assert sorted(disconnection_costs(rotated, 1)) == pytest.approx(
+            assert sorted(disconnection_costs(rotated(worked_schedule, k), 1)) == pytest.approx(
                 base, abs=1e-9
             )
