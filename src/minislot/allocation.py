@@ -32,9 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .rttmodel import (
-    PathParams, ThroughputEvaluator, mathis_throughput, vsta_sum, vsta_throughput,
-)
+from .rttmodel import PathParams, ThroughputEvaluator, vsta_sum, vsta_throughput
 from .schedule import SlotPlan, SlotSchedule, max_disconnection, worst_gap
 
 #: most owner vectors an exhaustive search enumerates; the table is built
@@ -76,11 +74,9 @@ def schedule_count(plan: SlotPlan) -> int:
     return count
 
 
-def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All owner vectors in ascending lexicographic order."""
-    arr: list[int] = []
-    for vsta, g in enumerate(counts, start=1):
-        arr.extend([vsta] * g)
+def _multiset_permutations(first: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every permutation of the ascending vector ``first``, in lexicographic order."""
+    arr = list(first)
     n = len(arr)
     while True:
         yield tuple(arr)
@@ -120,7 +116,7 @@ class SearchTable:
         self.owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
         self.pattern = np.empty((count, n), np.int32)
         interned: list[dict[tuple, int]] = [{} for _ in range(n)]
-        for s, owners in enumerate(_multiset_permutations(plan.slot_counts)):
+        for s, owners in enumerate(_multiset_permutations(plan.contiguous_owners)):
             self.owners[s] = owners
             self.pattern[s] = [
                 ids.setdefault(key, len(ids))
@@ -166,12 +162,9 @@ def _eq2_term(worst: float) -> float:
 
 def _eq1_term(path: PathParams, worst: float) -> float:
     """Throughput lost to a worst disconnection; none if there is none."""
-    if worst <= 0.0:
+    if worst <= 0.0:  # inf - inf would be NaN at delay 0
         return 0.0
-    if path.delay_ms <= 0.0:
-        return math.inf
-    ideal = mathis_throughput(path.mss_bytes, path.delay_ms, path.loss_rate)
-    return ideal - mathis_throughput(path.mss_bytes, path.delay_ms + worst, path.loss_rate)
+    return vsta_throughput(path, path.delay_ms) - vsta_throughput(path, path.delay_ms + worst)
 
 
 def _evenly_spaced_positions(g: int, total_slots: int) -> list[int]:

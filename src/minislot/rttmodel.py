@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import rtt_samples
-from .schedule import SlotSchedule, window_pattern
+from .schedule import TIME_TOLERANCE, SlotSchedule, window_pattern
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
@@ -133,8 +133,9 @@ def sweep_rtt_samples(
     exactly as separate one-delay calls with the same seed would.  Send
     ``k`` of ``n`` follows the reconnection of the window holding the
     point ``(k + 1/2) / n`` of the connected time; a last window that
-    ends within 1e-9 ms of the period runs on into the first across the
-    period boundary, and the sends of both follow its reconnection.
+    ends within ``TIME_TOLERANCE`` of the period runs on into the first
+    across the period boundary, and the sends of both follow its
+    reconnection.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
@@ -145,7 +146,7 @@ def sweep_rtt_samples(
     total = float(np.sum(ends - starts))
     n = cfg.n_samples
     anchors = before[:-1].copy()  # the send times below still read before[0]
-    if abs(ends[-1] - (period + starts[0])) <= 1e-9:
+    if abs(ends[-1] - (period + starts[0])) <= TIME_TOLERANCE:
         anchors[0] = anchors[-1]
     # window i + 1's sends start with the first k whose point reaches before[i + 1]
     firsts = np.clip(np.ceil(before[1:-1] * (n / before[-1]) - 0.5), 0, n).astype(np.intp)

@@ -24,11 +24,11 @@ DUTY_SUM_TOLERANCE = 1e-6
 #: tolerance used for exact time comparisons (milliseconds)
 TIME_TOLERANCE = 1e-9
 #: most slots a plan may have.  One scan of the slots gives every VSTA's
-#: windows.  At this bound on a 2-core machine, one delay and 100 samples,
-#: in-process: ``nopolicy,minmax`` on slot counts 5000,3000,1999,1 took
-#: 0.10-0.18 s; ``nopolicy`` on 10,000 one-slot VSTAs 2.9-3.8 s, 1.4-1.8 s
-#: of it in ``SlotSchedule``'s owner-count check (one count per VSTA) and
-#: most of the rest in 10,000 separate RTT draws, one per VSTA.
+#: windows, and one sort checks a schedule's owners.  At this bound on a
+#: 2-core machine, one delay and 100 samples, in-process: ``nopolicy,minmax``
+#: on slot counts 5000,3000,1999,1 took 0.12-0.20 s; ``nopolicy`` on 10,000
+#: one-slot VSTAs 1.7-2.5 s, most of it in 10,000 separate RTT draws, one
+#: per VSTA (building the schedule takes 10-25 ms of it).
 MAX_TOTAL_SLOTS = 10_000
 #: shortest slot time; ``window_pattern`` rounds window times to 1e-9 ms,
 #: a millionth of this
@@ -102,6 +102,15 @@ class SlotPlan:
     def total_slots(self) -> int:
         return sum(self.slot_counts)
 
+    @cached_property
+    def contiguous_owners(self) -> tuple[int, ...]:
+        """Each VSTA's slots in index order: every owner vector of the plan, sorted.
+
+        Built on first read and kept in the instance ``__dict__``, so it
+        takes no part in equality or hashing.
+        """
+        return tuple(vsta for vsta, g in enumerate(self.slot_counts, start=1) for _ in range(g))
+
 
 def derive_slot_plan(duty: DutyCycleSet, slot_time_ms: float) -> SlotPlan:
     """Derive the slot plan for ``duty`` at minimum slot size ``slot_time_ms``.
@@ -149,14 +158,14 @@ class SlotSchedule:
             raise ValueError(
                 f"expected {plan.total_slots} slot owners, got {len(owners)}"
             )
-        # with the count above, these imply every owner is in 1..n_vstas
-        for vsta in range(1, plan.n_vstas + 1):
-            seen = owners.count(vsta)
-            if seen != plan.slot_counts[vsta - 1]:
-                raise ValueError(
-                    f"VSTA {vsta} must own {plan.slot_counts[vsta - 1]} slots, "
-                    f"owner vector gives it {seen}"
-                )
+        if tuple(sorted(owners)) != plan.contiguous_owners:
+            # with the count above, some VSTA in 1..n_vstas owns the wrong number
+            for vsta, g in enumerate(plan.slot_counts, start=1):
+                seen = owners.count(vsta)
+                if seen != g:
+                    raise ValueError(
+                        f"VSTA {vsta} must own {g} slots, owner vector gives it {seen}"
+                    )
         durations = tuple(plan.slot_sizes_ms[o - 1] for o in owners)
         # exact running sums in units of the sizes' finest power-of-two step
         ratios = [size.as_integer_ratio() for size in plan.slot_sizes_ms]
@@ -218,10 +227,7 @@ class SlotSchedule:
 
 def build_contiguous_schedule(plan: SlotPlan) -> SlotSchedule:
     """No-policy baseline: each VSTA's slots placed consecutively, in index order."""
-    owners: list[int] = []
-    for vsta in range(1, plan.n_vstas + 1):
-        owners.extend([vsta] * plan.slot_counts[vsta - 1])
-    return SlotSchedule.from_owners(plan, owners)
+    return SlotSchedule.from_owners(plan, plan.contiguous_owners)
 
 
 def window_pattern(schedule: SlotSchedule, vsta: int) -> tuple:

@@ -1,5 +1,6 @@
 """Randomized invariants of the schedule, RTT and allocation layers."""
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -216,6 +217,34 @@ class TestScheduleProperties:
         ]
         assert math.fsum(duties) == pytest.approx(1.0, abs=1e-9)
         assert min(plan.slot_counts) >= 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(plans(), st.data())
+    def test_owner_check_is_the_count_check(self, plan, data):
+        """A schedule is refused exactly when some VSTA's slot count is
+        wrong, and the error names the smallest such VSTA.
+
+        Owner vectors are permutations of a valid one with up to three
+        entries overwritten by values in 0..n + 1, so both outcomes occur.
+        """
+        n, total = plan.n_vstas, plan.total_slots
+        owners = list(data.draw(st.permutations(plan.contiguous_owners)))
+        edits = data.draw(st.lists(
+            st.tuples(st.integers(0, total - 1), st.integers(0, n + 1)), max_size=3
+        ))
+        for position, owner in edits:
+            owners[position] = owner
+        seen = Counter(owners)
+        wrong = [(v, g) for v, g in enumerate(plan.slot_counts, start=1) if seen[v] != g]
+        if seen == Counter(dict(enumerate(plan.slot_counts, start=1))):
+            assert SlotSchedule(plan, tuple(owners)).owners == tuple(owners)
+        else:
+            with pytest.raises(ValueError) as exc_info:
+                SlotSchedule(plan, tuple(owners))
+            v, g = wrong[0]
+            assert str(exc_info.value) == (
+                f"VSTA {v} must own {g} slots, owner vector gives it {seen[v]}"
+            )
 
 
 class TestRttProperties:

@@ -1,4 +1,5 @@
-"""Every public name and every function the benchmark traces must exist.
+"""What the package exposes: each module's public names, every function
+the benchmark traces, and nothing at the top level.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``TARGETS`` by
 module and attribute; a renamed or deleted one would only show up in a
@@ -6,12 +7,14 @@ benchmark run.  The benchmark's modules are read from their source
 files, not imported, so nothing is written next to them.
 """
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-import minislot
 from minislot import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -27,10 +30,51 @@ def load(name):
 TRACER = load("tracer")
 TARGETS = TRACER.TARGETS
 
+#: each module's public names; ``minislot`` itself exports none
+PUBLIC = {
+    "allocation": (
+        "AllocationResult", "EnumerationBudgetError", "SearchTable", "blind_allocate",
+        "eq1_penalty", "eq2_objective", "minmax_allocate", "schedule_count",
+        "upper_bound_allocate",
+    ),
+    "rttmodel": (
+        "MathisValidityError", "PathParams", "RttSamplerConfig", "RttStats",
+        "ThroughputEvaluator", "mathis_throughput", "sample_rtts",
+    ),
+    "scenarios": (
+        "ConfigError", "ResultRow", "Scenario", "builtin_scenarios", "emit_csv",
+        "run_scenario", "scenario_from_config", "schedule_records",
+    ),
+    "schedule": (
+        "DutyCycleSet", "SlotPlan", "SlotSchedule", "build_contiguous_schedule",
+        "derive_slot_plan", "disconnection_costs", "max_disconnection",
+    ),
+}
 
-@pytest.mark.parametrize("name", minislot.__all__)
-def test_public_name_resolves(name):
-    assert getattr(minislot, name) is not None
+
+@pytest.mark.parametrize(
+    "module_name, name",
+    [(module, name) for module, names in PUBLIC.items() for name in names],
+    ids=[name for names in PUBLIC.values() for name in names],
+)
+def test_public_name_resolves(module_name, name):
+    module = importlib.import_module(f"minislot.{module_name}")
+    assert getattr(module, name) is not None
+
+
+def test_bare_import_loads_no_submodule():
+    """The package is used through its modules, so ``import minislot``
+    runs no module of it and imports no numpy."""
+    code = (
+        "import sys, minislot; "
+        "print(*sorted(m for m in sys.modules if m.startswith(('minislot.', 'numpy'))))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize(
