@@ -56,9 +56,9 @@ class EnumerationBudgetError(RuntimeError):
 class AllocationResult:
     """An allocator's schedule, its score and the work done.
 
-    ``evaluations`` counts the ``SearchTable`` rows scored, for the
-    exhaustive searches; for min-max, the completion checks of its
-    middle VSTAs' picks plus one each for the first and last VSTA.
+    ``evaluations`` counts the schedules scored: every ``SearchTable``
+    row for the exhaustive searches, and 1 for min-max, which scores
+    only the schedule it builds.
     """
 
     schedule: SlotSchedule
@@ -140,22 +140,13 @@ def eq2_objective(schedule: SlotSchedule) -> float:
     )
 
 
-def eq1_penalty(schedule: SlotSchedule, paths: Sequence[PathParams]) -> float:
-    """Total throughput lost to disconnections versus the bare wired paths."""
-    _check_path_count(schedule.n_vstas, paths)
-    return vsta_sum(
-        _eq1_term(path, max_disconnection(schedule, vsta))
-        for vsta, path in enumerate(paths, start=1)
-    )
-
-
 def _check_path_count(n_vstas: int, paths: Sequence[PathParams]) -> None:
     if len(paths) != n_vstas:
         raise ValueError(f"expected {n_vstas} paths, got {len(paths)}")
 
 
-# The per-VSTA terms of the objectives, summed by ``vsta_sum`` both in the
-# functions above and in the search over a ``SearchTable``.
+# The per-VSTA terms of the objectives, summed by ``vsta_sum`` both in
+# ``eq2_objective`` and in the search over a ``SearchTable``.
 def _eq2_term(worst: float) -> float:
     return 1.0 / worst if worst > 0.0 else math.inf
 
@@ -191,45 +182,40 @@ def minmax_allocate(plan: SlotPlan) -> AllocationResult:
     owner_of = dict.fromkeys(
         _evenly_spaced_positions(plan.slot_counts[first - 1], total_slots), first
     )
-    evaluations = 1 + (len(order) > 1)  # the first VSTA and, if another, the last
     for vsta in order[1:-1]:
         free = [p for p in range(1, total_slots + 1) if p not in owner_of]
-        chosen, checks = _minmax_pick(free, plan.slot_counts[vsta - 1], total_slots)
+        chosen = _minmax_pick(free, plan.slot_counts[vsta - 1], total_slots)
         owner_of.update(dict.fromkeys(chosen, vsta))
-        evaluations += checks
     # the last VSTA takes the leftovers
     owners = [owner_of.get(p, order[-1]) for p in range(1, total_slots + 1)]
     schedule = SlotSchedule.from_owners(plan, owners)
-    return AllocationResult(schedule, eq2_objective(schedule), evaluations)
+    return AllocationResult(schedule, eq2_objective(schedule), 1)
 
 
-def _minmax_pick(free: Sequence[int], g: int, total_slots: int) -> tuple[list[int], int]:
+def _minmax_pick(free: Sequence[int], g: int, total_slots: int) -> list[int]:
     """The ``g`` of the ascending ``free`` positions with the smallest
     largest circular index gap, ties to the lexicographically smallest
-    choice, and the number of completion checks made.
+    choice.
 
     Bisects on the largest gap: every ``g`` positions have one of at
     least ``ceil(total_slots / g)`` and at most ``total_slots``.
     """
     lo, hi = -(-total_slots // g), total_slots
-    best, checks = _smallest_within(free, g, total_slots, hi)
+    best = _smallest_within(free, g, total_slots, hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        chosen, n = _smallest_within(free, g, total_slots, mid)
-        checks += n
+        chosen = _smallest_within(free, g, total_slots, mid)
         if chosen is None:
             lo = mid + 1
         else:
             best, hi = chosen, mid
-    return best, checks  # type: ignore[return-value]
+    return best  # type: ignore[return-value]
 
 
-def _smallest_within(
-    free: Sequence[int], g: int, total_slots: int, d: int
-) -> tuple[list[int] | None, int]:
+def _smallest_within(free: Sequence[int], g: int, total_slots: int, d: int) -> list[int] | None:
     """The lexicographically smallest ``g`` of the ascending ``free``
-    positions with every circular index gap at most ``d`` (None if there
-    is none), and the number of completion checks made.
+    positions with every circular index gap at most ``d``, or None if
+    there is none.
 
     Some choice qualifies iff, from some ``free[i]``, greedy furthest
     jumps of at most ``d`` reach ``free[i] + total_slots - d``, which
@@ -244,12 +230,10 @@ def _smallest_within(
     m = len(free)
     # reach[j]: index of the furthest free position at most d after free[j]
     reach = [bisect_right(free, f + d) - 1 for f in free]
-    checks = 0
     for first in range(m):
         if free[first] > d:  # the wrap gap is at least the first position
-            return None, checks
+            return None
         end = free[first] + total_slots - d
-        checks += 1
         j = first
         for _ in range(g - 1):
             if free[j] >= end or reach[j] == j:
@@ -258,7 +242,7 @@ def _smallest_within(
         if free[j] >= end:
             break
     else:
-        return None, checks
+        return None
     # need[j]: fewest jumps from free[j] to a position at least end; it
     # only falls as j grows
     need = [0] * m
@@ -268,12 +252,10 @@ def _smallest_within(
     chosen = [first]
     for k in range(2, g + 1):
         j = chosen[-1] + 1
-        checks += 1
         while k + need[j] > g:
             j += 1
-            checks += 1
         chosen.append(j)
-    return [free[j] for j in chosen], checks
+    return [free[j] for j in chosen]
 
 
 def blind_allocate(

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import rtt_samples
-from .schedule import TIME_TOLERANCE, SlotSchedule, window_pattern
+from .schedule import SlotSchedule, window_pattern
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
@@ -42,13 +42,13 @@ MAX_N_SAMPLES = 1_000_000
 DEFAULT_MEAN_FRACTION = 0.25
 
 
-class MathisValidityError(ValueError):
-    """Loss rate outside the validity range of the throughput model."""
-
-
 @dataclass(frozen=True)
 class PathParams:
-    """End-to-end wired path of one VSTA."""
+    """End-to-end wired path of one VSTA.
+
+    Its loss rate lies in the validity range of ``vsta_throughput``'s
+    Reno estimate.
+    """
 
     delay_ms: float
     loss_rate: float = DEFAULT_LOSS_RATE
@@ -59,7 +59,7 @@ class PathParams:
         if not 0.0 <= self.delay_ms < math.inf:
             raise ValueError(f"path delay must be finite and >= 0, got {self.delay_ms}")
         if not 0.0 < self.loss_rate < MAX_LOSS_RATE:
-            raise MathisValidityError(
+            raise ValueError(
                 f"loss rate must be in (0, {MAX_LOSS_RATE}), got {self.loss_rate}"
             )
         if not 0 < self.mss_bytes <= MAX_MSS_BYTES:
@@ -132,28 +132,26 @@ def sweep_rtt_samples(
     thus gets the same samples, and every delay sees the same sends,
     exactly as separate one-delay calls with the same seed would.  Send
     ``k`` of ``n`` follows the reconnection of the window holding the
-    point ``(k + 1/2) / n`` of the connected time; a last window that
-    ends within ``TIME_TOLERANCE`` of the period runs on into the first
-    across the period boundary, and the sends of both follow its
-    reconnection.
+    point ``(k + 1/2) / n`` of the connected time; a last window whose
+    gap is 0 runs on into the first across the period boundary, and the
+    sends of both follow its reconnection.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
     starts, ends, period = bounds[:-1:2], bounds[1::2], float(bounds[-1])
     # the windows laid end to end: connected time before each window, then in all
     before = np.concatenate(([0.0], np.cumsum(ends - starts)))
-    # np.sum adds pairwise: from 8 windows on it may differ from before[-1] in the last bit
-    total = float(np.sum(ends - starts))
     n = cfg.n_samples
     anchors = before[:-1].copy()  # the send times below still read before[0]
-    if abs(ends[-1] - (period + starts[0])) <= TIME_TOLERANCE:
+    if pattern[-1][1] == 0.0:
         anchors[0] = anchors[-1]
     # window i + 1's sends start with the first k whose point reaches before[i + 1]
     firsts = np.clip(np.ceil(before[1:-1] * (n / before[-1]) - 0.5), 0, n).astype(np.intp)
     offsets = np.repeat(anchors, np.diff(firsts, prepend=0, append=n))
-    offsets += np.random.default_rng(cfg.seed).exponential(cfg.mean_fraction * total, n)
-    # for offsets >= 0, fmod equals % bit for bit and is cheaper
-    np.fmod(offsets, total, out=offsets)
+    offsets += np.random.default_rng(cfg.seed).exponential(cfg.mean_fraction * before[-1], n)
+    # for offsets >= 0, fmod equals % bit for bit and is cheaper; every
+    # offset lands below before[-1], so in a window
+    np.fmod(offsets, before[-1], out=offsets)
     # the window each connected-time offset falls in, and its wall-clock time
     idx = np.searchsorted(before[1:], offsets, side="right")
     sends = starts[idx] + (offsets - before[idx])
@@ -176,27 +174,17 @@ def vsta_sum(values: Iterable):
     return total
 
 
-def mathis_throughput(mss_bytes: int, rtt_ms: float, loss_rate: float) -> float:
-    """Steady-state Reno throughput estimate ``MSS/(RTT*sqrt(p))`` in bit/s."""
-    if not 0.0 < loss_rate < MAX_LOSS_RATE:
-        raise MathisValidityError(
-            f"loss rate must be in (0, {MAX_LOSS_RATE}), got {loss_rate}"
-        )
-    if not rtt_ms > 0.0:
-        raise ValueError(f"RTT must be positive, got {rtt_ms}")
-    return (mss_bytes * 8.0) / ((rtt_ms / 1000.0) * math.sqrt(loss_rate))
-
-
 def vsta_throughput(path: PathParams, mean_rtt_ms: float) -> float:
-    """Model throughput (bit/s) of one VSTA from its mean RTT.
+    """Steady-state Reno throughput estimate ``MSS/(RTT*sqrt(p))`` of one VSTA, in bit/s.
 
-    A zero mean RTT (delay 0 and an ack that always lands connected)
-    maps to infinite throughput instead of an error, so delay sweeps
-    may start at 0.
+    The estimate of Mathis et al. (CCR 1997) at the mean RTT, valid for
+    the loss rates ``PathParams`` accepts.  A zero mean RTT (delay 0 and
+    an ack that always lands connected) maps to infinite throughput, so
+    delay sweeps may start at 0.
     """
     if mean_rtt_ms <= 0.0:
         return math.inf
-    return mathis_throughput(path.mss_bytes, mean_rtt_ms, path.loss_rate)
+    return (path.mss_bytes * 8.0) / ((mean_rtt_ms / 1000.0) * math.sqrt(path.loss_rate))
 
 
 def vsta_seed(base_seed: int, vsta: int) -> int:

@@ -28,6 +28,7 @@ from .rttmodel import (
     vsta_throughput,
 )
 from .schedule import (
+    RATIO_SLACK,
     DutyCycleSet,
     SlotPlan,
     SlotSchedule,
@@ -196,7 +197,7 @@ def expand_delays(sweep) -> tuple[float, ...]:
             raise ConfigError("delays_ms: sweep start, stop and step must be finite")
         if step <= 0:
             raise ConfigError("delays_ms: sweep step must be positive")
-        span = (stop - start) / step + 1e-9
+        span = (stop - start) / step + RATIO_SLACK
         if span < 0:
             raise ConfigError("delays_ms: empty sweep range")
         # Scenario checks the length of every sweep, but this one must not be built

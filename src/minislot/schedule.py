@@ -21,8 +21,9 @@ from typing import Iterable, Sequence
 
 #: tolerance accepted on a duty-cycle sum before rejecting the input
 DUTY_SUM_TOLERANCE = 1e-6
-#: tolerance used for exact time comparisons (milliseconds)
-TIME_TOLERANCE = 1e-9
+#: slack added to a ratio before it is floored, so that ratios such as
+#: 6.499999999999999 that are integers in real arithmetic floor to them
+RATIO_SLACK = 1e-9
 #: most slots a plan may have.  One scan of the slots gives every VSTA's
 #: windows, and one sort checks a schedule's owners.  At this bound on a
 #: 2-core machine, one delay and 100 samples, in-process: ``nopolicy,minmax``
@@ -33,9 +34,10 @@ MAX_TOTAL_SLOTS = 10_000
 #: shortest slot time; ``window_pattern`` rounds window times to 1e-9 ms,
 #: a millionth of this
 MIN_SLOT_TIME_MS = 1e-3
-#: longest period.  Adjacent slots merge, and window patterns round, within
-#: ``TIME_TOLERANCE``.  Floats near this bound are 1.2e-10 ms apart; above
-#: about 8e6 ms they are more than 1e-9 ms apart and adjacent slots split.
+#: longest period.  Below it every float error in a window pattern stays
+#: under half of its 1e-9 ms rounding (floats near this bound are 1.2e-10 ms
+#: apart), so the gap of a window that runs on across the period boundary
+#: rounds to exactly 0.
 MAX_PERIOD_MS = 1_000_000.0
 
 
@@ -129,9 +131,8 @@ def derive_slot_plan(duty: DutyCycleSet, slot_time_ms: float) -> SlotPlan:
             f"slot time {slot_time_ms} ms gives a period of {period} ms, "
             f"above {MAX_PERIOD_MS:,.0f} ms"
         )
-    # f_i*T/slot_time == f_i/min_f; the epsilon guards ratios such as
-    # 6.499999999999999 that are exact integers in real arithmetic.
-    counts = tuple(int(math.floor(f / min_f + TIME_TOLERANCE)) for f in duty.fractions)
+    # f_i*T/slot_time == f_i/min_f
+    counts = tuple(int(math.floor(f / min_f + RATIO_SLACK)) for f in duty.fractions)
     assert all(g >= 1 for g in counts)
     sizes = tuple(f * period / g for f, g in zip(duty.fractions, counts))
     return SlotPlan(period_ms=period, slot_counts=counts, slot_sizes_ms=sizes)
@@ -184,10 +185,6 @@ class SlotSchedule:
     def n_vstas(self) -> int:
         return self.plan.n_vstas
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.owners)
-
     @classmethod
     def from_owners(cls, plan: SlotPlan, owners: Sequence[int]) -> "SlotSchedule":
         """Build a schedule for ``plan`` from an owner-per-slot vector."""
@@ -197,21 +194,21 @@ class SlotSchedule:
     def window_patterns(self) -> tuple[tuple, ...]:
         """Every VSTA's ``window_pattern``, by VSTA index, from one scan of the slots.
 
-        A VSTA's windows are its owned slots, adjacent ones (within
-        ``TIME_TOLERANCE``) merged, in one period from time 0.  Built on
-        first read and kept in the instance ``__dict__``, so it takes no
-        part in equality or hashing.
+        A VSTA's windows are its runs of consecutive owned slots, in one
+        period from time 0.  Built on first read and kept in the instance
+        ``__dict__``, so it takes no part in equality or hashing.
         """
         # starts[v - 1], ends[v - 1]: where VSTA v's windows so far begin and end
         starts: list[list[float]] = [[] for _ in range(self.n_vstas)]
         ends: list[list[float]] = [[] for _ in range(self.n_vstas)]
+        previous = 0  # no VSTA owns the slot before the first
         for owner, start, duration in zip(self.owners, self.start_times_ms, self.durations_ms):
-            own_ends = ends[owner - 1]
-            if own_ends and abs(own_ends[-1] - start) <= TIME_TOLERANCE:
-                own_ends[-1] = start + duration
+            if owner == previous:
+                ends[owner - 1][-1] = start + duration
             else:
                 starts[owner - 1].append(start)
-                own_ends.append(start + duration)
+                ends[owner - 1].append(start + duration)
+                previous = owner
         period = self.period_ms
         patterns = []
         for own_starts, own_ends in zip(starts, ends):

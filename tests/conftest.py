@@ -2,7 +2,11 @@
 import pytest
 
 from minislot.rttmodel import vsta_sum, vsta_throughput
-from minislot.schedule import TIME_TOLERANCE, SlotSchedule
+from minislot.schedule import SlotSchedule, max_disconnection
+
+#: how far apart two slot boundaries may lie and still count as one
+#: instant in the reference scan (milliseconds)
+TIME_TOLERANCE = 1e-9
 
 
 def _aggregate(evaluator, schedule, paths):
@@ -11,6 +15,22 @@ def _aggregate(evaluator, schedule, paths):
         vsta_throughput(path, evaluator.mean_rtt(schedule, vsta, path.delay_ms))
         for vsta, path in enumerate(paths, start=1)
     )
+
+
+def _eq1_penalty(schedule, paths):
+    """Brute-force eq1: each VSTA's throughput lost to its worst
+    disconnection versus the bare wired path, summed in VSTA order."""
+    assert len(paths) == schedule.n_vstas
+    losses = []
+    for vsta, path in enumerate(paths, start=1):
+        worst = max_disconnection(schedule, vsta)
+        if worst <= 0.0:  # inf - inf would be NaN at delay 0
+            losses.append(0.0)
+        else:
+            losses.append(
+                vsta_throughput(path, path.delay_ms) - vsta_throughput(path, path.delay_ms + worst)
+            )
+    return vsta_sum(losses)
 
 
 def _rotated(schedule, k):
@@ -42,6 +62,12 @@ def _connected_intervals(schedule, vsta):
 def aggregate():
     """``aggregate(evaluator, schedule, paths)``: a schedule's aggregate throughput."""
     return _aggregate
+
+
+@pytest.fixture
+def eq1_penalty():
+    """``eq1_penalty(schedule, paths)``: the brute-force eq1 reference."""
+    return _eq1_penalty
 
 
 @pytest.fixture(scope="session")

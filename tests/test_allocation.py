@@ -12,7 +12,6 @@ from minislot.allocation import (
     SearchTable,
     _evenly_spaced_positions,
     blind_allocate,
-    eq1_penalty,
     eq2_objective,
     minmax_allocate,
     schedule_count,
@@ -198,23 +197,22 @@ class TestObjectives:
     def test_eq2_rotation_invariant(self, rotated):
         sched = make_worked_schedule()
         base = eq2_objective(sched)
-        for k in range(1, sched.n_slots):
+        for k in range(1, len(sched.owners)):
             assert eq2_objective(rotated(sched, k)) == pytest.approx(base, rel=1e-12)
 
     def test_eq1_prefers_shorter_worst_gaps(self, case2_plan):
+        """On equal paths the eq1 winner spreads VSTAs 1 and 3 as min-max
+        does: no worst gap longer than the contiguous schedule's."""
         paths = [PathParams(delay_ms=50.0)] * 3
+        won = worst_gaps(blind_allocate(SearchTable(case2_plan), "eq1", paths))
+        assert won == pytest.approx((12.5, 87.5, 37.5), abs=1e-9)
         contiguous = build_contiguous_schedule(case2_plan)
-        spread = minmax_allocate(case2_plan).schedule
-        assert eq1_penalty(spread, paths) < eq1_penalty(contiguous, paths)
+        assert all(gap <= max_disconnection(contiguous, v) for v, gap in enumerate(won, start=1))
 
     def test_eq1_zero_delay_is_infinite(self, case2_plan):
-        sched = build_contiguous_schedule(case2_plan)
-        assert eq1_penalty(sched, [PathParams(delay_ms=0.0)] * 3) == math.inf
-
-    def test_eq1_path_count_checked(self, case2_plan):
-        sched = build_contiguous_schedule(case2_plan)
-        with pytest.raises(ValueError, match="expected 3 paths, got 1"):
-            eq1_penalty(sched, [PathParams(delay_ms=10.0)])
+        """At delay 0 every schedule loses the whole unbounded throughput."""
+        paths = [PathParams(delay_ms=0.0)] * 3
+        assert blind_allocate(SearchTable(case2_plan), "eq1", paths).objective_value == math.inf
 
 
 class TestMinmaxAllocate:
@@ -222,18 +220,18 @@ class TestMinmaxAllocate:
         result = minmax_allocate(case2_plan)
         assert result.schedule.owners == (1, 3, 1, 3, 1, 3, 1, 2)
         assert worst_gaps(result) == pytest.approx((12.5, 87.5, 37.5), abs=1e-9)
-        assert result.evaluations == 12
+        assert result.evaluations == 1
 
     def test_case1_reference(self, case1_plan):
         result = minmax_allocate(case1_plan)
         assert result.schedule.owners == (1, 2, 1, 3, 1, 4, 1, 5)
-        assert result.evaluations == 5
+        assert result.evaluations == 1
 
     def test_case3_reference(self, case3_plan):
         result = minmax_allocate(case3_plan)
         assert result.schedule.owners == (1, 1, 3, 1, 2, 1, 1, 1, 2)
         assert worst_gaps(result) == pytest.approx((12.5, 42.5, 90.0), abs=1e-6)
-        assert result.evaluations == 12
+        assert result.evaluations == 1
 
     def test_objective_matches_schedule(self, case2_plan):
         result = minmax_allocate(case2_plan)
@@ -265,14 +263,14 @@ class TestMinmaxAllocate:
         result = minmax_allocate(plan)
         assert result == minmax_allocate(plan)
         assert result.schedule.owners == (1, 2, 3) * 10 + (4,) + (1, 2, 3) * 10
-        # the completion checks of VSTAs 2 and 3, plus one each for VSTAs 1 and 4
-        assert result.evaluations == 367
+        # min-max scores only the schedule it builds
+        assert result.evaluations == 1
         crowded = minmax_allocate(one_ms_plan((16, 14, 9, 1)))
         assert crowded.schedule.owners == tuple(
             map(int, "1221212123123121312312312131231231214123")
         )
         assert worst_gaps(crowded) == pytest.approx((2, 3, 9, 39), abs=1e-9)
-        assert crowded.evaluations == 163
+        assert crowded.evaluations == 1
 
     def test_evenly_spaced_positions_are_distinct(self):
         for total in range(1, 61):
@@ -304,7 +302,7 @@ class TestBlindAllocate:
         with pytest.raises(ValueError, match="expected 3 paths, got 1"):
             blind_allocate(SearchTable(case2_plan), "eq1", [PathParams(delay_ms=10.0)])
 
-    def test_eq1_dominates_every_schedule(self, case2_plan):
+    def test_eq1_dominates_every_schedule(self, case2_plan, eq1_penalty):
         paths = [PathParams(delay_ms=d) for d in (30.0, 50.0, 70.0)]
         best = blind_allocate(SearchTable(case2_plan), "eq1", paths=paths).objective_value
         assert all(eq1_penalty(s, paths) >= best - 1e-9 for s in all_schedules(case2_plan))
@@ -423,7 +421,7 @@ class TestTableSearchMatchesBruteForce:
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     @pytest.mark.parametrize("delay", (0.0, 10.0, 55.0))
-    def test_eq1(self, name, delay):
+    def test_eq1(self, name, delay, eq1_penalty):
         plan = plan_named(name)
         paths = [PathParams(delay_ms=delay + 20.0 * i) for i in range(plan.n_vstas)]
         result = blind_allocate(SearchTable(plan), "eq1", paths=paths)

@@ -15,6 +15,7 @@ from minislot.allocation import (
 )
 from minislot.rttmodel import RttSamplerConfig, sample_rtts, sweep_rtt_samples
 from minislot.schedule import (
+    MAX_PERIOD_MS,
     MIN_SLOT_TIME_MS,
     DutyCycleSet,
     SlotPlan,
@@ -97,7 +98,7 @@ def slot_walk_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
     VSTA's ``l``-th and ``(l+1)``-th owned positions, circularly.
     """
     owned = [j for j, owner in enumerate(schedule.owners) if owner == vsta]
-    n = schedule.n_slots
+    n = len(schedule.owners)
     costs = []
     for here, nxt in zip(owned, owned[1:] + owned[:1]):
         total = 0.0
@@ -194,11 +195,27 @@ class TestScheduleProperties:
             assert len(got) == len(want)
             assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
 
+    @settings(max_examples=100, deadline=None)
+    @given(sized_schedules(max_size=MAX_PERIOD_MS / 160))
+    def test_windows_are_runs_of_owned_slots(self, connected_intervals, schedule):
+        """Up to periods of ``MAX_PERIOD_MS`` (160 slots of up to 6,250 ms),
+        windows that start where another owner's slot ends are the reference
+        scan's windows, whose ends meet starts within ``TIME_TOLERANCE``,
+        bit for bit; and a VSTA's last gap is 0 exactly when it owns both
+        the first and the last slot."""
+        assert schedule.window_patterns == tuple(
+            reference_pattern(connected_intervals(schedule, vsta), schedule.period_ms)
+            for vsta in range(1, schedule.n_vstas + 1)
+        )
+        first, last = schedule.owners[0], schedule.owners[-1]
+        for vsta, pattern in enumerate(schedule.window_patterns, start=1):
+            assert (pattern[-1][1] == 0.0) == (vsta == first == last)
+
     @settings(max_examples=40, deadline=None)
     @given(schedules(), st.integers(min_value=1, max_value=8))
     def test_rotation_preserves_cost_multiset_and_eq2(self, rotated, plan_schedule, shift):
         plan, schedule = plan_schedule
-        turned = rotated(schedule, shift % schedule.n_slots)
+        turned = rotated(schedule, shift % len(schedule.owners))
         for vsta in range(1, plan.n_vstas + 1):
             assert sorted(disconnection_costs(turned, vsta)) == pytest.approx(
                 sorted(disconnection_costs(schedule, vsta)), abs=1e-6
@@ -298,6 +315,6 @@ class TestAllocationProperties:
     @given(free_positions())
     def test_minmax_pick_matches_brute_force(self, case):
         free, g, total = case
-        chosen, _ = _minmax_pick(free, g, total)
+        chosen = _minmax_pick(free, g, total)
         assert chosen == brute_force_minmax(free, g, total)
 

@@ -34,12 +34,10 @@ TARGETS = TRACER.TARGETS
 PUBLIC = {
     "allocation": (
         "AllocationResult", "EnumerationBudgetError", "SearchTable", "blind_allocate",
-        "eq1_penalty", "eq2_objective", "minmax_allocate", "schedule_count",
-        "upper_bound_allocate",
+        "eq2_objective", "minmax_allocate", "schedule_count", "upper_bound_allocate",
     ),
     "rttmodel": (
-        "MathisValidityError", "PathParams", "RttSamplerConfig", "RttStats",
-        "ThroughputEvaluator", "mathis_throughput", "sample_rtts",
+        "PathParams", "RttSamplerConfig", "RttStats", "ThroughputEvaluator", "sample_rtts",
     ),
     "scenarios": (
         "ConfigError", "ResultRow", "Scenario", "builtin_scenarios", "emit_csv",

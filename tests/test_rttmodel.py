@@ -8,11 +8,9 @@ from minislot import rttmodel
 from minislot._kernels import rtt_samples
 from minislot.allocation import minmax_allocate
 from minislot.rttmodel import (
-    MathisValidityError,
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
-    mathis_throughput,
     sample_rtts,
     sweep_rtt_samples,
     vsta_seed,
@@ -160,6 +158,43 @@ class TestSampleRtts:
         (rtts,) = sweep_rtt_samples(key, (100.0,), self.CFG)
         assert rtts.min() == 100.0 == rtts.max()
 
+    #: nine windows whose widths, laid out as ``sweep_rtt_samples`` lays
+    #: them out, sum pairwise (``np.sum``) above their running sum: the 30th
+    #: draw of nine (length, gap) pairs from ``random.Random(2024)``, each
+    #: uniform in [0.001, 40] ms and rounded to 1e-9 ms, and the first with
+    #: that property
+    NINE_WINDOWS = (
+        (23.222356033, 5.023309187), (5.620056354, 18.416655866),
+        (24.290421442, 15.960734211), (28.823678293, 22.571961754),
+        (16.388060003, 17.513805119), (35.934899897, 12.899956793),
+        (22.933740609, 33.683006625), (20.964382917, 33.613359611),
+        (39.044975143, 24.539748646),
+    )
+
+    def test_every_send_lies_in_a_window(self, monkeypatch):
+        """An offset drawn just below the pairwise sum of the widths still
+        wraps into a window, for the running sum is the connected time."""
+        bounds = np.concatenate(([0.0], np.cumsum(self.NINE_WINDOWS)))
+        widths = bounds[1::2] - bounds[:-1:2]
+        pairwise = float(np.sum(widths))
+        assert pairwise > float(np.cumsum(widths)[-1])
+
+        class Draws:
+            """Exponential draws: the first just below ``pairwise``, the rest 0."""
+
+            def __init__(self, seed):
+                pass
+
+            def exponential(self, scale, size):
+                draws = np.zeros(size)
+                draws[0] = np.nextafter(pairwise, 0.0)
+                return draws
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        (rtts,) = sweep_rtt_samples(self.NINE_WINDOWS, (0.0,), RttSamplerConfig(n_samples=100))
+        # at delay 0 a send inside a window is acknowledged at once
+        assert rtts.tolist() == [0.0] * 100
+
     def test_matches_scalar_model(self, case2_contiguous, connected_intervals):
         """The vectorized kernel must agree with the scalar RTT function."""
         vsta, delay = 3, 37.0
@@ -195,33 +230,30 @@ class TestSampleRtts:
         schedule = minmax_allocate(plan).schedule
         means = [
             sample_rtts(window_pattern(rotated(schedule, k), vsta), (delay,), self.CFG).means_ms[0]
-            for k in range(schedule.n_slots)
+            for k in range(len(schedule.owners))
         ]
         spread = max_disconnection(schedule, vsta)
         assert max(means) - min(means) <= 4.0 * spread / math.sqrt(self.CFG.n_samples)
 
 
 class TestMathisThroughput:
+    """``vsta_throughput`` is the Reno estimate; ``PathParams`` bounds its loss rate."""
+
+    PATH = PathParams(delay_ms=0.0, loss_rate=0.0032, mss_bytes=1460)
+
     def test_reference_value(self):
         # 1460-byte MSS, 100 ms RTT, p = 0.0032
-        assert mathis_throughput(1460, 100.0, 0.0032) == pytest.approx(
-            2064751.80, abs=0.01
-        )
+        assert vsta_throughput(self.PATH, 100.0) == pytest.approx(2064751.80, abs=0.01)
 
     def test_scales_inverse_with_rtt(self):
-        assert mathis_throughput(1460, 50.0, 0.0032) == pytest.approx(
-            2.0 * mathis_throughput(1460, 100.0, 0.0032)
+        assert vsta_throughput(self.PATH, 50.0) == pytest.approx(
+            2.0 * vsta_throughput(self.PATH, 100.0)
         )
 
     def test_loss_rate_validity_window(self):
-        with pytest.raises(MathisValidityError):
-            mathis_throughput(1460, 100.0, 0.02)
-        with pytest.raises(MathisValidityError):
-            mathis_throughput(1460, 100.0, 0.0)
-
-    def test_nonpositive_rtt_rejected(self):
-        with pytest.raises(ValueError, match="RTT"):
-            mathis_throughput(1460, 0.0, 0.0032)
+        for loss_rate in (0.02, 0.0):
+            with pytest.raises(ValueError, match="loss rate must be in"):
+                PathParams(delay_ms=0.0, loss_rate=loss_rate)
 
 
 class TestPathParams:
@@ -231,7 +263,7 @@ class TestPathParams:
         assert path.mss_bytes == 1460
 
     def test_invalid_loss(self):
-        with pytest.raises(MathisValidityError):
+        with pytest.raises(ValueError, match="loss rate"):
             PathParams(delay_ms=20.0, loss_rate=0.5)
 
     def test_negative_delay(self):
@@ -247,10 +279,12 @@ class TestPathParams:
 class TestVstaThroughput:
     def test_positive_rtt_is_mathis(self):
         path = PathParams(delay_ms=0.0, loss_rate=0.001, mss_bytes=1000)
-        assert vsta_throughput(path, 40.0) == mathis_throughput(1000, 40.0, 0.001)
+        assert vsta_throughput(path, 40.0) == (1000 * 8.0) / ((40.0 / 1000.0) * math.sqrt(0.001))
 
     def test_zero_rtt_is_unbounded(self):
-        assert vsta_throughput(PathParams(delay_ms=0.0), 0.0) == math.inf
+        """A nonpositive mean RTT maps to infinite throughput, not an error."""
+        for rtt in (0.0, -1.0):
+            assert vsta_throughput(PathParams(delay_ms=0.0), rtt) == math.inf
 
 
 class TestAggregateThroughput:
@@ -287,7 +321,7 @@ class TestThroughputEvaluator:
             per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, vsta))
             key = window_pattern(case2_contiguous, vsta)
             (mean,) = sample_rtts(key, (path.delay_ms,), per_vsta).means_ms
-            direct += mathis_throughput(path.mss_bytes, mean, path.loss_rate)
+            direct += (path.mss_bytes * 8.0) / ((mean / 1000.0) * math.sqrt(path.loss_rate))
         assert aggregate(evaluator, case2_contiguous, paths) == direct
 
     @pytest.fixture

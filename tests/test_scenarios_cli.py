@@ -98,7 +98,7 @@ BAD_INPUTS = [
     ({"slot_time_ms": 1, "delays_ms": [1e305]}, ["--samples", "10000"], "delays_ms"),
     ({"mss_bytes": 65_536}, [], "mss_bytes"),
     ({"mss_bytes": 10**400}, [], "mss_bytes"),
-    # a period whose floats lie more than the 1e-9 ms tolerance apart
+    # periods above MAX_PERIOD_MS, where float errors outgrow the patterns' 1e-9 ms rounding
     ({"duty_cycles": [0.55, 0.45], "slot_time_ms": 7e9}, [], "slot_time_ms"),
     ({"duty_cycles": [0.7, 0.2, 0.1], "slot_time_ms": 7e7}, [], "slot_time_ms"),
     # names that would break the unquoted CSV

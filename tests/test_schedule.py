@@ -106,7 +106,7 @@ class TestContiguousSchedule:
         plan = derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0)
         sched = build_contiguous_schedule(plan)
         assert sched.start_times_ms[0] == 0.0
-        for j in range(sched.n_slots - 1):
+        for j in range(len(sched.owners) - 1):
             assert sched.start_times_ms[j + 1] == pytest.approx(
                 sched.start_times_ms[j] + sched.durations_ms[j], abs=1e-9
             )
@@ -206,12 +206,12 @@ class TestSlotScheduleValidation:
         for k in range(len(owners)):
             rotated = SlotSchedule.from_owners(plan, owners[k:] + owners[:k])
             assert rotated.start_times_ms == tuple(
-                math.fsum(rotated.durations_ms[:j]) for j in range(rotated.n_slots)
+                math.fsum(rotated.durations_ms[:j]) for j in range(len(rotated.owners))
             )
 
     def test_rotation_preserves_cost_multiset(self, worked_schedule, rotated):
         base = sorted(disconnection_costs(worked_schedule, 1))
-        for k in range(1, worked_schedule.n_slots):
+        for k in range(1, len(worked_schedule.owners)):
             assert sorted(disconnection_costs(rotated(worked_schedule, k), 1)) == pytest.approx(
                 base, abs=1e-9
             )
