@@ -255,6 +255,17 @@ class TestMathisThroughput:
             with pytest.raises(ValueError, match="loss rate must be in"):
                 PathParams(delay_ms=0.0, loss_rate=loss_rate)
 
+    def test_nonpositive_rtt_rejected(self):
+        """A nonpositive RTT never enters the Reno expression.
+
+        At 0 it would divide by zero, below 0 it would give a negative
+        rate; either way the estimate is unbounded.  The smallest RTTs
+        just above 0 still take the formula.
+        """
+        for rtt in (0.0, -0.0, -1e-9):
+            assert vsta_throughput(self.PATH, rtt) == math.inf
+        assert 0.0 < vsta_throughput(self.PATH, 1e-9) < math.inf
+
 
 class TestPathParams:
     def test_defaults(self):
