@@ -1,10 +1,4 @@
-"""Hot RTT-sampling kernel, in numpy.
-
-``rtt_samples`` lands each acknowledgement ``delay`` after its send and
-charges the wait until the VSTA's next connected instant.  It runs once
-per delay of a sweep, on send times ``rttmodel.sweep_rtt_samples`` draws
-once for the whole sweep.
-"""
+"""Hot RTT-sampling kernel, in numpy, run once per delay of a sweep."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,7 +7,9 @@ import numpy as np
 def rtt_samples(starts, ends, sends, delay: float, period: float) -> np.ndarray:
     """RTT of each wall-clock send time in ``sends``, in ms.
 
-    ``starts``/``ends`` are the VSTA's sorted, disjoint connected
+    Each ack lands ``delay`` after its send and, if the VSTA is
+    disconnected then, waits in the AP buffer until its next window
+    opens.  ``starts``/``ends`` are the VSTA's sorted, disjoint connected
     intervals within one ``period`` (half-open).
     """
     # sends and delay are >= 0, where fmod equals % bit for bit

@@ -1,27 +1,12 @@
-"""Slot-allocation strategies.
+"""Slot-allocation strategies: min-max spreading (``minmax_allocate``),
+the blind exhaustive searches (``blind_allocate``) and the Monte-Carlo
+upper bound (``upper_bound_allocate``).
 
-Three ways to place the slots of a plan into the period:
-
-* ``minmax_allocate`` -- serves the VSTAs in descending slot-count
-  order; each takes the free positions that minimize its worst index
-  gap, exactly at every plan size and with no combination budget (the
-  pick runs in polynomial time), ties to the lexicographically smallest
-  choice.
-* ``blind_allocate`` -- exhaustive search over every feasible owner
-  vector, maximizing the sum of inverse worst disconnection times
-  (``eq2``) or minimizing the total model-throughput penalty (``eq1``,
-  needs per-path delay and loss estimates).
-* ``upper_bound_allocate`` -- exhaustive search scored by the
-  Monte-Carlo throughput model; unattainable in practice, used as the
-  comparison ceiling.
-
-The exhaustive searches score a ``SearchTable``: every feasible owner
-vector with each VSTA's window pattern, built once by the caller and
-shared across objectives and delays.  Every objective is a sum over
-VSTAs of a value that depends on the row only through the VSTA's
-pattern, so each search computes one value per (VSTA, pattern) and
-gathers them into the rows; the upper bound reads those values from a
-sweep's ``ThroughputEvaluator``, which draws once per (VSTA, pattern).
+The exhaustive searches score a ``SearchTable``, which the caller builds
+once and shares across objectives and delays.  Every objective is a sum
+over VSTAs of a value that depends on the row only through the VSTA's
+window pattern, so each search computes one value per (VSTA, pattern)
+and gathers them into the rows (``_best_row``).
 """
 from __future__ import annotations
 
@@ -35,9 +20,9 @@ import numpy as np
 from .rttmodel import PathParams, ThroughputEvaluator, vsta_sum, vsta_throughput
 from .schedule import SlotPlan, SlotSchedule, max_disconnection, worst_gap
 
-#: most owner vectors an exhaustive search enumerates; the table is built
-#: row by row in Python (277,200 rows take about 12 s), so one at this
-#: bound already takes most of a minute
+#: most owner vectors an exhaustive search enumerates.  The table is built
+#: row by row in Python, so far larger ones would hang: ten duty cycles of
+#: 0.1 give 10! = 3,628,800.
 MAX_OWNER_VECTORS = 1_000_000
 
 
@@ -170,8 +155,9 @@ def minmax_allocate(plan: SlotPlan) -> AllocationResult:
     The VSTA with the most slots is placed first on maximally even
     positions; each following VSTA takes, among the still-free
     positions, the choice minimizing its maximum circular index gap,
-    exactly at every plan size with no combination budget (ties to the
-    lexicographically smallest choice); the last VSTA takes the leftovers.
+    exactly at every plan size, in polynomial time with no combination
+    budget (ties to the lexicographically smallest choice); the last
+    VSTA takes the leftovers.
     """
     total_slots = plan.total_slots
     order = sorted(
@@ -267,9 +253,8 @@ def blind_allocate(
 
     ``objective="eq2"`` maximizes the sum of inverse worst
     disconnection times; ``objective="eq1"`` minimizes the total
-    throughput penalty and requires ``paths``.  Enumeration is
-    lexicographic, so ties keep the lexicographically smallest owner
-    vector.
+    throughput penalty and requires ``paths``.  Ties keep the first row
+    in ``SearchTable`` order.
     """
     if objective == "eq2":
         values = [[_eq2_term(worst_gap(key)) for key in keys] for keys in table.keys]
@@ -306,10 +291,11 @@ def upper_bound_allocate(
 ) -> AllocationResult:
     """Best Monte-Carlo aggregate throughput over every feasible schedule of ``table``.
 
-    Each row scores the ``run_scenario`` aggregate bit for bit.  Scored
-    by ``evaluator``, whose sampler config fixes the seed, so the
-    maximizer is reproducible; ties keep the lexicographically smallest
-    owner vector.
+    Unattainable in practice, as it needs the sampled RTTs; it is the
+    comparison ceiling.  Each row scores the ``run_scenario`` aggregate
+    bit for bit.  Scored by ``evaluator``, whose sampler config fixes the
+    seed, so the maximizer is reproducible; ties keep the first row in
+    ``SearchTable`` order.
     """
     _check_path_count(table.plan.n_vstas, paths)
     values = [

@@ -1,10 +1,8 @@
 """Command-line experiment runner.
 
 Runs a built-in or file-based scenario sweep and writes the result CSV
-to stdout or a file.  Exit status is 0 on success, 2 on configuration
-errors or an output path that cannot be written, and 3 when an
-exhaustive algorithm would enumerate more than
-``allocation.MAX_OWNER_VECTORS`` owner vectors.
+to stdout or a file.  The README states the flags, the exit statuses and
+the input bounds, and a test checks it against this parser.
 """
 from __future__ import annotations
 
@@ -68,7 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenarios(args) -> list[Scenario]:
-    """The configs ``--scenario`` names, with the flags given merged in, as scenarios."""
+    """The configs ``--scenario`` names, with the flags given merged in, as scenarios.
+
+    The flags are merged before any check, so a bad flag value fails as
+    the same value in a file would.
+    """
     if os.path.exists(args.scenario):
         # a file scenario without a name key is named after its path
         configs = [{"name": args.scenario, **load_config(args.scenario)}]

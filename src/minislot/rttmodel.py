@@ -1,20 +1,12 @@
 """TCP round-trip-time model under a periodic slot schedule.
 
-A VSTA only sends while connected; the acknowledgement returns after
-the wired path delay and, if the VSTA is disconnected at that instant,
-sits in the AP buffer until the next owned slot starts.  Acks pile up
-in the AP buffer while the VSTA is disconnected, so sends cluster right
-after each reconnection: a send starts at one of the VSTA's
-reconnections, picked in proportion to the length of the window it
-opens, and follows it by an exponential offset measured in connected
-time.  The period's origin plays no part, so rotating a schedule moves
-the sampled mean RTT only by sampling noise.  Send times depend on a
-schedule only through the VSTA's ``window_pattern`` and not on the wired
-delay, so ``sample_rtts`` draws them once for a whole delay sweep, and a
-``ThroughputEvaluator`` makes that one draw per (VSTA, pattern) for
-every schedule and search of the sweep.
-Throughput follows from the mean observed RTT via the steady-state Reno
-approximation ``MSS / (RTT * sqrt(p))``.
+A VSTA only sends while connected, and an acknowledgement that returns
+while it is disconnected sits in the AP buffer until it reconnects
+(``_kernels.rtt_samples``).  Acks pile up there, so sends cluster right
+after each reconnection (``RttSamplerConfig``).  Anchoring sends at
+reconnections, not at the period's origin, makes the sampled mean RTT of
+a rotated schedule differ only by sampling noise.  Throughput follows
+from the mean RTT (``vsta_throughput``).
 """
 from __future__ import annotations
 
@@ -36,18 +28,19 @@ DEFAULT_MSS_BYTES = 1460
 MAX_MSS_BYTES = 65_535
 DEFAULT_N_SAMPLES = 10000
 #: most RTT samples per (VSTA, delay).  A draw holds several float64
-#: arrays of this length at once, about 60 MB at this bound, so far larger
-#: counts would exhaust memory.
+#: arrays of this length at once, so far larger counts would exhaust memory.
 MAX_N_SAMPLES = 1_000_000
 DEFAULT_MEAN_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
 class PathParams:
-    """End-to-end wired path of one VSTA.
+    """End-to-end wired path of one VSTA; the package's one check of a path.
 
-    Its loss rate lies in the validity range of ``vsta_throughput``'s
-    Reno estimate.
+    It refuses with a ``ValueError`` a delay that is negative or not
+    finite, an ``mss_bytes`` outside ``1..MAX_MSS_BYTES`` and a
+    ``loss_rate`` outside ``(0, MAX_LOSS_RATE)``, where
+    ``vsta_throughput``'s Reno estimate is valid.
     """
 
     delay_ms: float
@@ -60,10 +53,10 @@ class PathParams:
             raise ValueError(f"path delay must be finite and >= 0, got {self.delay_ms}")
         if not 0.0 < self.loss_rate < MAX_LOSS_RATE:
             raise ValueError(
-                f"loss rate must be in (0, {MAX_LOSS_RATE}), got {self.loss_rate}"
+                f"loss_rate must be in (0, {MAX_LOSS_RATE}), got {self.loss_rate}"
             )
         if not 0 < self.mss_bytes <= MAX_MSS_BYTES:
-            raise ValueError(f"MSS must be in 1..{MAX_MSS_BYTES}, got {self.mss_bytes}")
+            raise ValueError(f"mss_bytes must be in 1..{MAX_MSS_BYTES}, got {self.mss_bytes}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,8 @@ def sweep_rtt_samples(
 ) -> Iterator[np.ndarray]:
     """Sampled RTTs under a window pattern at each delay, from one draw of send times.
 
-    ``pattern`` is a ``window_pattern``.  Its windows are laid out from
+    The package lays out a pattern's windows only here.  ``pattern`` is a
+    ``window_pattern``.  Its windows are laid out from
     time 0: each window starts where the previous one's gap ends, and
     the last gap closes the period.  Every schedule with the pattern
     thus gets the same samples, and every delay sees the same sends,
@@ -139,7 +133,9 @@ def sweep_rtt_samples(
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
     starts, ends, period = bounds[:-1:2], bounds[1::2], float(bounds[-1])
-    # the windows laid end to end: connected time before each window, then in all
+    # the windows laid end to end: connected time before each window, then in
+    # all.  It gives the anchors, the stratification points and the map to
+    # wall-clock sends; its total is the exponential's scale and wrap modulus.
     before = np.concatenate(([0.0], np.cumsum(ends - starts)))
     n = cfg.n_samples
     anchors = before[:-1].copy()  # the send times below still read before[0]
@@ -177,10 +173,12 @@ def vsta_sum(values: Iterable):
 def vsta_throughput(path: PathParams, mean_rtt_ms: float) -> float:
     """Steady-state Reno throughput estimate ``MSS/(RTT*sqrt(p))`` of one VSTA, in bit/s.
 
-    The estimate of Mathis et al. (CCR 1997) at the mean RTT, valid for
-    the loss rates ``PathParams`` accepts.  A zero mean RTT (delay 0 and
-    an ack that always lands connected) maps to infinite throughput, so
-    delay sweeps may start at 0.
+    The package's one per-VSTA throughput rule: the CSV rows, the eq1
+    penalty and the upper-bound search all read it.  The estimate of
+    Mathis et al. (CCR 1997) at the mean RTT, valid for the loss rates
+    ``PathParams`` accepts.  A zero mean RTT (delay 0 and an ack that
+    always lands connected) maps to infinite throughput, so delay sweeps
+    may start at 0.
     """
     if mean_rtt_ms <= 0.0:
         return math.inf
@@ -211,10 +209,14 @@ class ThroughputEvaluator:
         self._means: dict[tuple[int, tuple], dict[float, float]] = {}
 
     def mean_rtt(self, schedule: SlotSchedule, vsta: int, delay_ms: float) -> float:
+        """``pattern_mean`` of ``vsta``'s pattern in ``schedule``: a CSV row's read."""
         return self.pattern_mean(vsta, window_pattern(schedule, vsta), delay_ms)
 
     def pattern_mean(self, vsta: int, pattern: tuple, delay_ms: float) -> float:
-        """Mean RTT of ``vsta`` under ``pattern`` at ``delay_ms``, one of its sweep delays."""
+        """Mean RTT of ``vsta`` under ``pattern`` at ``delay_ms``, one of its sweep delays.
+
+        The upper-bound search reads its rows here.
+        """
         means = self._means.get((vsta, pattern))
         if means is None:
             delays = self.delays_by_vsta[vsta - 1]

@@ -1,11 +1,8 @@
 """Experiment scenarios: configuration, delay sweeps and CSV emission.
 
 A scenario fixes the duty cycles, slot time, path parameters and
-sampler, and sweeps a base wired delay.  For every swept delay and
-requested algorithm the runner builds the schedule, samples per-VSTA
-RTTs, maps them to model throughput and reports the aggregate and its
-ratio against the contiguous no-policy baseline.  Output is a
-deterministic CSV: same scenario and seed, same bytes.
+sampler, and sweeps a base wired delay.  Each algorithm's throughputs
+are reported against the contiguous no-policy baseline's.
 """
 from __future__ import annotations
 
@@ -19,8 +16,6 @@ from .allocation import SearchTable, blind_allocate, minmax_allocate, upper_boun
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
     DEFAULT_MSS_BYTES,
-    MAX_LOSS_RATE,
-    MAX_MSS_BYTES,
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
@@ -43,8 +38,8 @@ CSV_HEADER = (
 
 DEFAULT_SWEEP = tuple(float(d) for d in range(0, 201, 5))
 #: most delays a sweep may hold, in either form.  Every algorithm is
-#: evaluated at every delay, so a sweep of this length already takes
-#: minutes on the built-in cases; far longer ones would hang.
+#: evaluated at every delay, and eq1 and upperbound search once per delay,
+#: so far longer sweeps would hang.
 MAX_SWEEP_DELAYS = 10_000
 DEFAULT_SEED = 12345
 
@@ -61,7 +56,10 @@ _CSV_BREAKERS = (",", '"', "\r", "\n")
 class Scenario:
     """A delay sweep over one duty-cycle set, built by ``scenario_from_config``.
 
-    ``plan`` is the slot plan of the duty cycles and slot time.
+    ``plan`` is the slot plan of the duty cycles and slot time, and
+    ``paths[k]`` holds each VSTA's ``PathParams`` at ``delays_ms[k]``.
+    Both are derived once, on construction; a path that ``PathParams``
+    refuses is a ``ConfigError``.
     """
 
     name: str
@@ -74,6 +72,7 @@ class Scenario:
     sampler: RttSamplerConfig
     algorithms: tuple[str, ...]
     plan: SlotPlan = field(init=False, compare=False, repr=False)
+    paths: tuple[tuple[PathParams, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.duty_cycles.n_vstas
@@ -126,19 +125,17 @@ class Scenario:
                 "delays_ms: n_samples times the period plus the largest path delay "
                 "is not finite"
             )
-        for p in self.loss_rates:
-            if not 0.0 < p < MAX_LOSS_RATE:
-                raise ConfigError(f"loss_rate: expected rates in (0, {MAX_LOSS_RATE}), got {p}")
-        if not 0 < self.mss_bytes <= MAX_MSS_BYTES:
-            raise ConfigError(
-                f"mss_bytes: expected a size in 1..{MAX_MSS_BYTES}, got {self.mss_bytes}"
+        try:
+            paths = tuple(
+                tuple(
+                    PathParams(delay_ms=delay + off, loss_rate=p, mss_bytes=self.mss_bytes)
+                    for off, p in zip(self.delay_offsets_ms, self.loss_rates)
+                )
+                for delay in self.delays_ms
             )
-
-    def paths_at(self, base_delay: float) -> list[PathParams]:
-        return [
-            PathParams(delay_ms=base_delay + off, loss_rate=p, mss_bytes=self.mss_bytes)
-            for off, p in zip(self.delay_offsets_ms, self.loss_rates)
-        ]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "paths", paths)
 
 
 _CONFIG_KEYS = {
@@ -213,9 +210,8 @@ def scenario_from_config(config: dict) -> Scenario:
     """Build a scenario from a flat configuration mapping.
 
     Unknown keys are errors: a silent typo would corrupt an experiment.
-    So are values of the wrong JSON type, which are never coerced.  The
-    name defaults to ``custom``; a missing or empty ``delay_offsets_ms``
-    or ``loss_rate`` list to 0 ms and ``DEFAULT_LOSS_RATE`` per VSTA.
+    So are values of the wrong JSON type, which are never coerced.  An
+    empty ``delay_offsets_ms`` or ``loss_rate`` list counts as a missing one.
     """
     if not isinstance(config, dict):
         raise ConfigError("scenario config must be a mapping")
@@ -343,6 +339,8 @@ class ResultRow:
 
 
 def _ratio(value: float, baseline: float) -> float:
+    """``value / baseline``; 1 when they are equal, ``inf / inf`` too, else NaN
+    when either is infinite or the baseline is 0."""
     if value == baseline:
         return 1.0
     if baseline == 0.0 or math.isinf(baseline) or math.isinf(value):
@@ -355,10 +353,10 @@ class _Sweep:
 
     def __init__(self, scenario: Scenario):
         self.plan = scenario.plan
-        self.paths_by_delay = [scenario.paths_at(d) for d in scenario.delays_ms]
+        self.paths = scenario.paths
         self.evaluator = ThroughputEvaluator(
             scenario.sampler,
-            [[path.delay_ms for path in v_paths] for v_paths in zip(*self.paths_by_delay)],
+            [[path.delay_ms for path in v_paths] for v_paths in zip(*self.paths)],
         )
 
     @cached_property
@@ -376,12 +374,12 @@ _SCHEDULERS: dict[str, Callable[[_Sweep], SlotSchedule | list[SlotSchedule]]] = 
     "nopolicy": lambda sweep: build_contiguous_schedule(sweep.plan),
     "minmax": lambda sweep: minmax_allocate(sweep.plan).schedule,
     "eq1": lambda sweep: [
-        blind_allocate(sweep.table, "eq1", paths).schedule for paths in sweep.paths_by_delay
+        blind_allocate(sweep.table, "eq1", paths).schedule for paths in sweep.paths
     ],
     "eq2": lambda sweep: blind_allocate(sweep.table, "eq2").schedule,
     "upperbound": lambda sweep: [
         upper_bound_allocate(sweep.table, paths, sweep.evaluator).schedule
-        for paths in sweep.paths_by_delay
+        for paths in sweep.paths
     ],
 }
 ALGORITHMS = tuple(_SCHEDULERS)
@@ -391,7 +389,8 @@ class ScenarioRun(list):
     """The rows of a scenario sweep, with the schedules behind them.
 
     ``schedules`` maps each delay-independent algorithm that was built,
-    the nopolicy baseline included, to its schedule.
+    the nopolicy baseline included, to its schedule, so the CLI dumps
+    them without a search of its own.
     """
 
     def __init__(self, rows: list[ResultRow], schedules: dict[str, SlotSchedule]):
@@ -411,7 +410,7 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     n = sweep.plan.n_vstas
     seed = scenario.sampler.seed
 
-    def evaluate(schedule: SlotSchedule, paths: list[PathParams]):
+    def evaluate(schedule: SlotSchedule, paths: Sequence[PathParams]):
         rtts = [
             sweep.evaluator.mean_rtt(schedule, v, path.delay_ms)
             for v, path in enumerate(paths, start=1)
@@ -430,8 +429,8 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         built = _SCHEDULERS[alg](sweep)
         if isinstance(built, SlotSchedule):
             schedules[alg] = built
-            built = [built] * len(sweep.paths_by_delay)
-        results[alg] = [evaluate(s, paths) for s, paths in zip(built, sweep.paths_by_delay)]
+            built = [built] * len(sweep.paths)
+        results[alg] = [evaluate(s, paths) for s, paths in zip(built, sweep.paths)]
 
     rows: list[ResultRow] = []
     for k, base_delay in enumerate(scenario.delays_ms):
@@ -461,7 +460,11 @@ def _fmt(value: float | None) -> str:
 
 
 def emit_csv(rows: Sequence[ResultRow]) -> str:
-    """Deterministic CSV text for a result table (header always present)."""
+    """Deterministic CSV text for a result table (header always present).
+
+    Rows are sorted by scenario, delay, algorithm and VSTA, the
+    aggregate row ``all`` last, so a scenario and seed give the same bytes.
+    """
 
     def sort_key(row: ResultRow):
         vsta_key = (1, 0) if row.vsta == "all" else (0, int(row.vsta))

@@ -1,15 +1,11 @@
 """Slot-plan arithmetic and periodic slot schedules.
 
 A single-radio station shares one wireless period ``T`` between ``N``
-virtual stations (VSTAs), one per access point.  Each VSTA ``i`` is
-granted a duty cycle ``f_i`` (fractions sum to one) and receives
-``g_i`` slots per period.  This module derives the slot plan from a
-duty-cycle set, builds concrete schedules (ordered slot-to-VSTA
-assignments with wall-clock start times) and reads what each VSTA
-sees of a schedule from one scan of its slots: the pattern of its
-connected windows' lengths and of the gaps between them, and from that
-its circular disconnection costs (how long it stays off the air between
-two of its consecutive slots).
+virtual stations (VSTAs), one per access point: VSTA ``i`` gets a duty
+cycle ``f_i`` of the period in ``g_i`` slots.  This module derives slot
+plans, builds schedules (which VSTA owns each slot) and reads what each
+VSTA sees of a schedule: its window pattern and its disconnection costs
+(how long it stays off the air between two of its consecutive slots).
 """
 from __future__ import annotations
 
@@ -24,12 +20,8 @@ DUTY_SUM_TOLERANCE = 1e-6
 #: slack added to a ratio before it is floored, so that ratios such as
 #: 6.499999999999999 that are integers in real arithmetic floor to them
 RATIO_SLACK = 1e-9
-#: most slots a plan may have.  One scan of the slots gives every VSTA's
-#: windows, and one sort checks a schedule's owners.  At this bound on a
-#: 2-core machine, one delay and 100 samples, in-process: ``nopolicy,minmax``
-#: on slot counts 5000,3000,1999,1 took 0.12-0.20 s; ``nopolicy`` on 10,000
-#: one-slot VSTAs 1.7-2.5 s, most of it in 10,000 separate RTT draws, one
-#: per VSTA (building the schedule takes 10-25 ms of it).
+#: most slots a plan may have.  Every schedule built scans all its slots,
+#: and every VSTA draws its RTTs on its own, so a run's work grows with it.
 MAX_TOTAL_SLOTS = 10_000
 #: shortest slot time; ``window_pattern`` rounds window times to 1e-9 ms,
 #: a millionth of this
@@ -108,6 +100,7 @@ class SlotPlan:
     def contiguous_owners(self) -> tuple[int, ...]:
         """Each VSTA's slots in index order: every owner vector of the plan, sorted.
 
+        It is also the nopolicy schedule and the first ``SearchTable`` row.
         Built on first read and kept in the instance ``__dict__``, so it
         takes no part in equality or hashing.
         """
@@ -142,8 +135,11 @@ def derive_slot_plan(duty: DutyCycleSet, slot_time_ms: float) -> SlotPlan:
 class SlotSchedule:
     """An ordered assignment of ``plan``'s slots to VSTAs.
 
-    ``owners`` holds 1-based VSTA indices, one per slot position.  Each
-    slot lasts its owner's slot size, and ``start_times_ms[j]`` is the
+    ``owners`` holds 1-based VSTA indices, one per slot position; sorted,
+    they must be the plan's ``contiguous_owners``.  Everything else is
+    derived from the plan and the owners, so an inconsistent schedule
+    cannot be built, and schedules with equal plans and owners are equal.
+    Each slot lasts its owner's slot size, and ``start_times_ms[j]`` is the
     wall-clock offset of slot ``j`` within one period: the exact sum of
     the durations before it, never of rounded intermediates.
     """
@@ -195,8 +191,11 @@ class SlotSchedule:
         """Every VSTA's ``window_pattern``, by VSTA index, from one scan of the slots.
 
         A VSTA's windows are its runs of consecutive owned slots, in one
-        period from time 0.  Built on first read and kept in the instance
-        ``__dict__``, so it takes no part in equality or hashing.
+        period from time 0: a run ends where the next slot has another
+        owner, with no time tolerance.  A VSTA that owns the first and the
+        last slot gets a last gap of exactly 0 (see ``MAX_PERIOD_MS``).
+        Built on first read and kept in the instance ``__dict__``, so it
+        takes no part in equality or hashing.
         """
         # starts[v - 1], ends[v - 1]: where VSTA v's windows so far begin and end
         starts: list[list[float]] = [[] for _ in range(self.n_vstas)]
@@ -228,7 +227,7 @@ def build_contiguous_schedule(plan: SlotPlan) -> SlotSchedule:
 
 
 def window_pattern(schedule: SlotSchedule, vsta: int) -> tuple:
-    """Each window's (length, gap to the next window) in ms, rounded, from the first window."""
+    """Each window's (length, gap to the next window) in ms, rounded to 1e-9 ms, from the first."""
     if not 1 <= vsta <= schedule.n_vstas:
         raise ValueError(
             f"unknown VSTA index {vsta} (schedule has {schedule.n_vstas} VSTAs)"
@@ -255,7 +254,7 @@ def disconnection_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
 
 
 def worst_gap(pattern: tuple) -> float:
-    """Largest gap of a ``window_pattern``: the worst disconnection time in ms."""
+    """Largest gap of a ``window_pattern``, with its rounding: the worst disconnection in ms."""
     return max(gap for _, gap in pattern)
 
 

@@ -252,7 +252,7 @@ class TestMathisThroughput:
 
     def test_loss_rate_validity_window(self):
         for loss_rate in (0.02, 0.0):
-            with pytest.raises(ValueError, match="loss rate must be in"):
+            with pytest.raises(ValueError, match="loss_rate must be in"):
                 PathParams(delay_ms=0.0, loss_rate=loss_rate)
 
     def test_nonpositive_rtt_rejected(self):
@@ -274,7 +274,7 @@ class TestPathParams:
         assert path.mss_bytes == 1460
 
     def test_invalid_loss(self):
-        with pytest.raises(ValueError, match="loss rate"):
+        with pytest.raises(ValueError, match="loss_rate"):
             PathParams(delay_ms=20.0, loss_rate=0.5)
 
     def test_negative_delay(self):

@@ -259,7 +259,7 @@ class TestBuiltinScenarios:
     def test_case2_has_delay_offsets(self):
         (scenario,) = builtin_scenarios("case2")
         assert scenario.delay_offsets_ms == (0.0, 20.0, 40.0)
-        assert scenario.paths_at(5.0)[2].delay_ms == 45.0
+        assert scenario.paths[1][2].delay_ms == 45.0  # at 5 ms
 
     def test_fig5_expands_per_disconnection(self):
         scenarios = builtin_scenarios("fig5")
@@ -343,8 +343,7 @@ class TestRunScenario:
         aggregates = {
             (r.algorithm, r.base_delay_ms): r.aggregate_bps for r in run if r.vsta == "all"
         }
-        for delay in scenario.delays_ms:
-            paths = scenario.paths_at(delay)
+        for delay, paths in zip(scenario.delays_ms, scenario.paths):
             evaluator = one_delay_evaluator(scenario, paths)
             for alg in algorithms:
                 want = aggregate(evaluator, run.schedules[alg], paths)
@@ -360,7 +359,7 @@ class TestRunScenario:
         table = SearchTable(scenario.plan)
         scores = [
             upper_bound_allocate(table, paths, one_delay_evaluator(scenario, paths)).objective_value
-            for paths in map(scenario.paths_at, scenario.delays_ms)
+            for paths in scenario.paths
         ]
         rows = [r for r in run if r.algorithm == "upperbound" and r.vsta == "all"]
         assert [r.aggregate_bps for r in rows] == scores
@@ -385,8 +384,7 @@ class TestRunScenario:
         if "eq1" in algorithms:
             table = SearchTable(scenario.plan)
             schedules += [
-                blind_allocate(table, "eq1", scenario.paths_at(d)).schedule
-                for d in scenario.delays_ms
+                blind_allocate(table, "eq1", paths).schedule for paths in scenario.paths
             ]
         distinct = {
             (v, window_pattern(schedule, v))
