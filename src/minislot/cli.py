@@ -20,7 +20,7 @@ from .scenarios import (
     load_config,
     run_scenario,
     scenario_from_config,
-    schedule_records,
+    schedule_dump,
 )
 
 #: the scenario config keys that CLI flags replace; each flag's ``dest`` is its key
@@ -82,15 +82,6 @@ def _resolve_scenarios(args) -> list[Scenario]:
     return [scenario_from_config({**config, **overrides}) for config in configs]
 
 
-def _schedule_dump(scenario: Scenario, schedules: dict) -> str:
-    """The listed delay-independent schedules of one run, in listed order."""
-    return "".join(
-        f"# scenario={scenario.name} algorithm={alg}\n" + schedule_records(schedules[alg])
-        for alg in scenario.algorithms
-        if alg in schedules
-    )
-
-
 def _write(flag: str, path: str, text: str, newline: str | None = None) -> bool:
     """Write ``text`` to the file at ``path``; False, after naming ``flag``
     and ``path`` on stderr, if it cannot be written."""
@@ -105,6 +96,11 @@ def _write(flag: str, path: str, text: str, newline: str | None = None) -> bool:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the CSV would overwrite the dump
+    paths = [os.path.realpath(p) for p in (args.out, args.dump_schedules) if p]
+    if len(set(paths)) < len(paths):
+        print(f"minislot: --out and --dump-schedules name one file: {args.out}", file=sys.stderr)
+        return 2
     try:
         scenarios = _resolve_scenarios(args)
         rows, dump = [], []
@@ -112,7 +108,7 @@ def main(argv=None) -> int:
             run = run_scenario(scenario)
             rows.extend(run)
             if args.dump_schedules:
-                dump.append(_schedule_dump(scenario, run.schedules))
+                dump.append(schedule_dump(scenario, run.schedules))
     except ConfigError as exc:
         print(f"minislot: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -176,13 +176,14 @@ def vsta_throughput(path: PathParams, mean_rtt_ms: float) -> float:
     The package's one per-VSTA throughput rule: the CSV rows, the eq1
     penalty and the upper-bound search all read it.  The estimate of
     Mathis et al. (CCR 1997) at the mean RTT, valid for the loss rates
-    ``PathParams`` accepts.  A zero mean RTT (delay 0 and an ack that
-    always lands connected) maps to infinite throughput, so delay sweeps
-    may start at 0.
+    ``PathParams`` accepts.  A denominator of 0 or less (a zero mean RTT,
+    or an RTT and loss rate whose product underflows) is unbounded
+    throughput, so delay sweeps may start at 0.
     """
-    if mean_rtt_ms <= 0.0:
+    denominator = (mean_rtt_ms / 1000.0) * math.sqrt(path.loss_rate)
+    if denominator <= 0.0:
         return math.inf
-    return (path.mss_bytes * 8.0) / ((mean_rtt_ms / 1000.0) * math.sqrt(path.loss_rate))
+    return (path.mss_bytes * 8.0) / denominator
 
 
 def vsta_seed(base_seed: int, vsta: int) -> int:

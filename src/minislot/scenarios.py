@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -29,11 +29,6 @@ from .schedule import (
     SlotSchedule,
     build_contiguous_schedule,
     derive_slot_plan,
-)
-
-CSV_HEADER = (
-    "scenario,algorithm,base_delay_ms,vsta,mean_rtt_ms,"
-    "throughput_bps,aggregate_bps,ratio_vs_nopolicy,seed"
 )
 
 DEFAULT_SWEEP = tuple(float(d) for d in range(0, 201, 5))
@@ -100,10 +95,11 @@ class Scenario:
                 )
         if not self.algorithms:
             raise ConfigError("algorithms: at least one algorithm required")
-        for key in ("algorithms", "delays_ms"):
-            # a repeat would write its CSV rows twice
-            if len(set(getattr(self, key))) < len(getattr(self, key)):
-                raise ConfigError(f"{key}: an entry is listed more than once")
+        # a repeat writes its rows twice; delays count as the CSV prints them, -0.0 as 0
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError("algorithms: an entry is listed more than once")
+        if len({_fmt(d + 0.0) for d in self.delays_ms}) < len(self.delays_ms):
+            raise ConfigError("delays_ms: two delays are equal or print alike in the CSV")
         try:
             # DutyCycleSet checked the duty cycles, so only the slot time can fail
             plan = derive_slot_plan(self.duty_cycles, self.slot_time_ms)
@@ -338,6 +334,9 @@ class ResultRow:
     seed: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def _ratio(value: float, baseline: float) -> float:
     """``value / baseline``; 1 when they are equal, ``inf / inf`` too, else NaN
     when either is infinite or the baseline is 0."""
@@ -389,8 +388,8 @@ class ScenarioRun(list):
     """The rows of a scenario sweep, with the schedules behind them.
 
     ``schedules`` maps each delay-independent algorithm that was built,
-    the nopolicy baseline included, to its schedule, so the CLI dumps
-    them without a search of its own.
+    the nopolicy baseline included, to its schedule, so ``schedule_dump``
+    writes them without a search of its own.
     """
 
     def __init__(self, rows: list[ResultRow], schedules: dict[str, SlotSchedule]):
@@ -407,56 +406,47 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     search reads the pattern first.
     """
     sweep = _Sweep(scenario)
-    n = sweep.plan.n_vstas
     seed = scenario.sampler.seed
-
-    def evaluate(schedule: SlotSchedule, paths: Sequence[PathParams]):
-        rtts = [
-            sweep.evaluator.mean_rtt(schedule, v, path.delay_ms)
-            for v, path in enumerate(paths, start=1)
-        ]
-        ths = [vsta_throughput(path, rtt) for path, rtt in zip(paths, rtts)]
-        # the upper-bound search adds up its rows with vsta_sum too, so the
-        # aggregate is the number it maximizes
-        return rtts, ths, vsta_sum(ths)
-
     schedules: dict[str, SlotSchedule] = {}
-    # results[alg][k]: (per-VSTA mean RTTs, throughputs, aggregate) at delay k
-    results: dict[str, list] = {}
-    for alg in ("nopolicy",) + scenario.algorithms:
-        if alg in results:
-            continue
+
+    def evaluate(alg: str) -> list:
+        """``alg``'s (per-VSTA mean RTTs, throughputs, aggregate) at each swept delay."""
         built = _SCHEDULERS[alg](sweep)
         if isinstance(built, SlotSchedule):
             schedules[alg] = built
             built = [built] * len(sweep.paths)
-        results[alg] = [evaluate(s, paths) for s, paths in zip(built, sweep.paths)]
+        per_delay = []
+        for s, paths in zip(built, sweep.paths):
+            rtts = [sweep.evaluator.mean_rtt(s, v, p.delay_ms) for v, p in enumerate(paths, 1)]
+            ths = [vsta_throughput(p, rtt) for p, rtt in zip(paths, rtts)]
+            # the upper-bound search adds up its rows with vsta_sum too, so
+            # the aggregate is the number it maximizes
+            per_delay.append((rtts, ths, vsta_sum(ths)))
+        return per_delay
 
+    baseline = evaluate("nopolicy")
     rows: list[ResultRow] = []
-    for k, base_delay in enumerate(scenario.delays_ms):
-        _, base_ths, base_agg = results["nopolicy"][k]
-        for alg in scenario.algorithms:
-            rtts, ths, agg = results[alg][k]
+    for alg in scenario.algorithms:
+        evaluated = baseline if alg == "nopolicy" else evaluate(alg)
+        for delay, (rtts, ths, agg), (_, base_ths, base_agg) in zip(
+            scenario.delays_ms, evaluated, baseline
+        ):
             # one row per VSTA, then the aggregate row; _ratio of equal
             # values is 1, so every nopolicy row has ratio 1
             cells = [
-                (str(v), rtts[v - 1], ths[v - 1], _ratio(ths[v - 1], base_ths[v - 1]))
-                for v in range(1, n + 1)
+                (str(v), rtt, th, _ratio(th, base_th))
+                for v, (rtt, th, base_th) in enumerate(zip(rtts, ths, base_ths), start=1)
             ]
             cells.append(("all", None, None, _ratio(agg, base_agg)))
-            for vsta, rtt, th, ratio in cells:
-                rows.append(ResultRow(
-                    scenario=scenario.name, algorithm=alg, base_delay_ms=base_delay, vsta=vsta,
-                    mean_rtt_ms=rtt, throughput_bps=th, aggregate_bps=agg,
-                    ratio_vs_nopolicy=ratio, seed=seed,
-                ))
+            rows.extend(
+                ResultRow(scenario.name, alg, delay, vsta, rtt, th, agg, ratio, seed)
+                for vsta, rtt, th, ratio in cells
+            )
     return ScenarioRun(rows, schedules)
 
 
 def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, ".6g")
+    return "" if value is None else format(value, ".6g")
 
 
 def emit_csv(rows: Sequence[ResultRow]) -> str:
@@ -464,6 +454,7 @@ def emit_csv(rows: Sequence[ResultRow]) -> str:
 
     Rows are sorted by scenario, delay, algorithm and VSTA, the
     aggregate row ``all`` last, so a scenario and seed give the same bytes.
+    The cells follow ``ResultRow``'s fields, which ``CSV_HEADER`` names.
     """
 
     def sort_key(row: ResultRow):
@@ -497,3 +488,13 @@ def schedule_records(schedule: SlotSchedule) -> str:
     ):
         lines.append(f"{owner - 1},{_fmt(duration)},{_fmt(start)}")
     return "\n".join(lines) + "\n"
+
+
+def schedule_dump(scenario: Scenario, schedules: dict[str, SlotSchedule]) -> str:
+    """One run's ``--dump-schedules`` text: each listed delay-independent
+    schedule, in listed order, as a ``# scenario= algorithm=`` line and its records."""
+    return "".join(
+        f"# scenario={scenario.name} algorithm={alg}\n" + schedule_records(schedules[alg])
+        for alg in scenario.algorithms
+        if alg in schedules
+    )

@@ -3,11 +3,11 @@
 Each entry runs one built-in scenario at the default seed over a short
 delay subset and compares the SHA-256 of its CSV with a digest recorded
 from the code before the exhaustive searches were made
-delay-independent, and the SHA-256 of its schedule dump (the
-delay-independent schedules, as the CLI writes them) with one recorded
-before each VSTA's windows came from one scan of the schedule.  A
-refactor keeps these bytes; only a deliberate model change may alter
-them, and it re-records the digests and says so in CHANGES.md.
+delay-independent, and the SHA-256 of its schedule dump
+(``scenarios.schedule_dump``, the text ``--dump-schedules`` writes)
+with one recorded before each VSTA's windows came from one scan of the
+schedule.  A refactor keeps these bytes; only a deliberate model change
+may alter them, and it re-records the digests and says so in CHANGES.md.
 """
 import hashlib
 from dataclasses import replace
@@ -15,8 +15,7 @@ from functools import cache
 
 import pytest
 
-from minislot.cli import _schedule_dump
-from minislot.scenarios import builtin_scenarios, emit_csv, run_scenario
+from minislot.scenarios import builtin_scenarios, emit_csv, run_scenario, schedule_dump
 
 ALL = ("nopolicy", "minmax", "eq1", "eq2", "upperbound")
 # 0 ms gives infinite throughputs and penalties, 10 ms sits where the
@@ -47,7 +46,7 @@ def scenario_outputs(name):
         scenario = replace(scenario, delays_ms=DELAYS, algorithms=ALL)
         run = run_scenario(scenario)
         rows.extend(run)
-        dump.append(_schedule_dump(scenario, run.schedules))
+        dump.append(schedule_dump(scenario, run.schedules))
     return emit_csv(rows), "".join(dump)
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minislot.allocation import (
     SearchTable,
@@ -13,7 +13,15 @@ from minislot.allocation import (
     eq2_objective,
     minmax_allocate,
 )
-from minislot.rttmodel import RttSamplerConfig, sample_rtts, sweep_rtt_samples
+from minislot.rttmodel import (
+    MAX_LOSS_RATE,
+    MAX_MSS_BYTES,
+    PathParams,
+    RttSamplerConfig,
+    sample_rtts,
+    sweep_rtt_samples,
+    vsta_throughput,
+)
 from minislot.schedule import (
     MAX_PERIOD_MS,
     MIN_SLOT_TIME_MS,
@@ -299,6 +307,22 @@ class TestRttProperties:
             assert len(swept) == len(delays)
             for mean, delay in zip(swept, delays):
                 assert mean == sample_rtts(key, (delay,), cfg).means_ms[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=MAX_LOSS_RATE, exclude_min=True, exclude_max=True),
+        st.integers(min_value=1, max_value=MAX_MSS_BYTES),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    @example(1e-300, 1460, 1e-300)
+    @example(5e-324, 1460, 1e-200)
+    @example(5e-324, MAX_MSS_BYTES, 5e-324)
+    @example(MAX_LOSS_RATE * (1 - 2**-53), 1, 1.7e308)
+    def test_reno_estimate_is_positive_or_unbounded(self, loss_rate, mss, rtt):
+        """Every path ``PathParams`` accepts and every finite mean RTT >= 0
+        give a positive throughput or ``inf``, even where the denominator underflows."""
+        throughput = vsta_throughput(PathParams(0.0, loss_rate, mss), rtt)
+        assert throughput == math.inf or 0.0 < throughput < math.inf
 
 
 class TestAllocationProperties:

@@ -41,7 +41,7 @@ PUBLIC = {
     ),
     "scenarios": (
         "ConfigError", "ResultRow", "Scenario", "builtin_scenarios", "emit_csv",
-        "run_scenario", "scenario_from_config", "schedule_records",
+        "run_scenario", "scenario_from_config", "schedule_dump", "schedule_records",
     ),
     "schedule": (
         "DutyCycleSet", "SlotPlan", "SlotSchedule", "build_contiguous_schedule",

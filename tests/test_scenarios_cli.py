@@ -74,6 +74,12 @@ BAD_INPUTS = [
     ({"slot_time_ms": math.nan}, [], "slot_time_ms"),
     ({"delays_ms": [-5]}, [], "delays_ms"),
     ({"delays_ms": {"start": 0, "stop": math.inf, "step": 5}}, [], "delays_ms"),
+    ({"delays_ms": {"start": 0, "stop": 10}}, [], "delays_ms"),
+    ({"delays_ms": {"start": 10, "stop": 0, "step": 5}}, [], "delays_ms"),
+    # a span of -inf, which only the empty-range check keeps from math.floor
+    ({"delays_ms": {"start": 1e308, "stop": -1e308, "step": 1}}, [], "delays_ms"),
+    ({"loss_rate": [0.001, 0.002, 0.003]}, [], "loss_rate"),
+    ({"algorithms": []}, [], "algorithms"),
     ({"delay_offsets_ms": [-20.0, 0.0]}, [], "delay_offsets_ms"),
     ({"duty_cycles": [math.nan, 1.0]}, [], "duty_cycles"),
     ({"loss_rate": 0.5}, [], "loss_rate"),
@@ -111,6 +117,9 @@ BAD_INPUTS = [
     ({"algorithms": ["minmax", "minmax"]}, [], "algorithms"),
     ({}, ["--algorithms", "nopolicy,nopolicy"], "algorithms"),
     ({"delays_ms": [10, 10]}, [], "delays_ms"),
+    ({"delays_ms": [0, -0.0]}, [], "delays_ms"),
+    # distinct floats whose CSV cells both read 1e+06
+    ({"delays_ms": [1000000, 1000001]}, [], "delays_ms"),
 ]
 
 SMALL_CONFIG = {
@@ -161,6 +170,10 @@ class TestScenarioFromConfig:
         config = dict(SMALL_CONFIG, typo_field=1)
         with pytest.raises(ConfigError, match="typo_field"):
             scenario_from_config(config)
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            scenario_from_config([SMALL_CONFIG])
 
     def test_missing_required_field(self):
         config = dict(SMALL_CONFIG)
@@ -463,6 +476,36 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["--scenario", str(path)]) == 2
+
+    def test_json_list_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([SMALL_CONFIG]))
+        assert main(["--scenario", str(path)]) == 2
+        assert "must be a mapping" in capsys.readouterr().err
+
+    def test_one_file_for_both_outputs_exits_2_before_the_run(self, tmp_path, capsys):
+        """The CSV would overwrite the dump, so nothing runs or is written."""
+        path = self._write_config(tmp_path, SMALL_CONFIG)
+        target = tmp_path / "both.txt"
+        alias = tmp_path / "sub" / ".." / "both.txt"
+        (tmp_path / "sub").mkdir()
+        assert main([
+            "--scenario", path, "--out", str(target), "--dump-schedules", str(alias),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--dump-schedules" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"duty_cycles": [1.0], "slot_time_ms": 10, "delays_ms": [1e-300], "loss_rate": 1e-300},
+        {"duty_cycles": [0.5, 0.5], "slot_time_ms": 10, "delays_ms": [1e-200],
+         "loss_rate": 5e-324, "algorithms": ["nopolicy", "eq1", "upperbound"]},
+    ])
+    def test_underflowing_reno_denominator_is_unbounded(self, tmp_path, capsys, config):
+        """An RTT times sqrt(loss rate) that underflows to 0 is infinite throughput."""
+        path = self._write_config(tmp_path, config)
+        assert main(["--scenario", path]) == 0
+        assert ",inf," in capsys.readouterr().out
 
     def test_directory_scenario_exits_2_naming_it(self, tmp_path, capsys):
         assert main(["--scenario", str(tmp_path)]) == 2
