@@ -1,28 +1,67 @@
 """Hot RTT-sampling kernel, in numpy, run once per delay of a sweep."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def rtt_samples(starts, ends, sends, delay: float, period: float) -> np.ndarray:
-    """RTT of each wall-clock send time in ``sends``, in ms.
+    """RTT of each wall-clock send time in the ascending ``sends``, in ms.
 
     Each ack lands ``delay`` after its send and, if the VSTA is
     disconnected then, waits in the AP buffer until its next window
     opens.  ``starts``/``ends`` are the VSTA's sorted, disjoint connected
-    intervals within one ``period`` (half-open).
+    intervals within one ``period`` (half-open); ``sends`` and ``delay``
+    are >= 0, and ``sends`` must ascend.
+
+    Ascending sends give ascending acks, which fall into runs of whole
+    periods ``k``.  Within a run the ack phases ascend too, so each
+    window and each gap holds one slice of them: a window's acks get
+    ``delay``, and a gap's acks ``delay + (next start - phase)``.  Each
+    phase is the ack minus ``k * period`` exactly, so it equals
+    ``fmod(ack, period)`` bit for bit.
     """
-    # sends and delay are >= 0, where fmod equals % bit for bit
-    phase = np.fmod(sends + delay, period)
-    # i counts the windows opening at or before the ack, so window i is
-    # the next to open (i == len(starts): the first one of the next
-    # period).  A VSTA has few windows, and counting them is cheaper
-    # than np.searchsorted.
-    i = np.zeros(phase.shape, np.intp)
-    for start in starts.tolist():
-        i += phase >= start
+    delay, period = float(delay), float(period)
+    acks = sends + delay
+    rtts = np.full(acks.shape, delay + 0.0)
     next_starts = np.append(starts, period + starts[0])
-    # the ack lands connected when it falls before the end of window i - 1
-    prev_ends = np.concatenate(([-np.inf], ends))
-    wait = np.where(phase < prev_ends.take(i), 0.0, next_starts.take(i) - phase)
-    return delay + wait
+    # gap i runs from the end of window i - 1 (none for gap 0) to next_starts[i]
+    gap_bounds = np.concatenate(([-np.inf], ends, next_starts))
+    num, den = period.as_integer_ratio()
+    first, last = (_periods_below(float(ack), num, den) for ack in (acks[0], acks[-1]))
+    # run k holds the acks >= k * period: those >= the least double >= it
+    least = [_least_double_above(k * num, den) for k in range(first + 1, last + 1)]
+    cuts = [0, *acks.searchsorted(least).tolist(), acks.size]
+    gap_starts = next_starts.tolist()
+    for k, a, b in zip(range(first, last + 1), cuts, cuts[1:]):
+        if a == b:
+            continue
+        phases = acks[a:b]
+        if k:
+            # ack - head is exact by Sterbenz (head <= ack < 2 * head), and
+            # adding head's phase gives ack - k * period, itself a double
+            head = float(acks[a])
+            hn, hd = head.as_integer_ratio()
+            phases -= head
+            phases += (hn * den - k * num * hd) / (hd * den)
+        bounds = phases.searchsorted(gap_bounds).tolist()
+        for lower, upper, start in zip(bounds, bounds[len(gap_starts):], gap_starts):
+            if lower < upper:
+                waits = rtts[a + lower:a + upper]
+                np.subtract(start, phases[lower:upper], out=waits)
+                waits += delay
+    return rtts
+
+
+def _periods_below(x: float, num: int, den: int) -> int:
+    """``floor(x / period)`` for ``period == num / den``, in exact arithmetic."""
+    xn, xd = x.as_integer_ratio()
+    return (xn * den) // (xd * num)
+
+
+def _least_double_above(num: int, den: int) -> float:
+    """The least double >= ``num / den``; Python's int division rounds correctly."""
+    nearest = num / den
+    nn, nd = nearest.as_integer_ratio()
+    return nearest if nn * den >= num * nd else math.nextafter(nearest, math.inf)

@@ -11,7 +11,7 @@ and gathers them into the rows (``_best_row``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -168,10 +168,12 @@ def minmax_allocate(plan: SlotPlan) -> AllocationResult:
     owner_of = dict.fromkeys(
         _evenly_spaced_positions(plan.slot_counts[first - 1], total_slots), first
     )
+    free = [p for p in range(1, total_slots + 1) if p not in owner_of]
     for vsta in order[1:-1]:
-        free = [p for p in range(1, total_slots + 1) if p not in owner_of]
         chosen = _minmax_pick(free, plan.slot_counts[vsta - 1], total_slots)
         owner_of.update(dict.fromkeys(chosen, vsta))
+        for p in chosen:
+            del free[bisect_left(free, p)]
     # the last VSTA takes the leftovers
     owners = [owner_of.get(p, order[-1]) for p in range(1, total_slots + 1)]
     schedule = SlotSchedule.from_owners(plan, owners)
@@ -214,31 +216,50 @@ def _smallest_within(free: Sequence[int], g: int, total_slots: int, d: int) -> l
     it keeps both the gap from the previous position and the room to pad.
     """
     m = len(free)
-    # reach[j]: index of the furthest free position at most d after free[j]
-    reach = [bisect_right(free, f + d) - 1 for f in free]
+
+    def reach(j: int) -> int:
+        """Index of the furthest free position at most ``d`` after ``free[j]``."""
+        return bisect_right(free, free[j] + d, j) - 1
+
     for first in range(m):
         if free[first] > d:  # the wrap gap is at least the first position
             return None
         end = free[first] + total_slots - d
         j = first
         for _ in range(g - 1):
-            if free[j] >= end or reach[j] == j:
+            furthest = reach(j)
+            if free[j] >= end or furthest == j:
                 break
-            j = reach[j]
+            j = furthest
         if free[j] >= end:
             break
     else:
         return None
     # need[j]: fewest jumps from free[j] to a position at least end; it
-    # only falls as j grows
-    need = [0] * m
-    for j in reversed(range(first, m)):
-        if free[j] < end:
-            need[j] = m if reach[j] == j else 1 + need[reach[j]]
+    # only falls as j grows.  Only the positions the choice scans and
+    # their jumps are visited.
+    need: dict[int, int] = {}
+
+    def need_of(j: int) -> int:
+        path = []  # the jumps from j to a position whose need is known
+        while j not in need:
+            furthest = reach(j)
+            if free[j] >= end:
+                need[j] = 0
+            elif furthest == j:
+                need[j] = m
+            else:
+                path.append(j)
+                j = furthest
+        for i in reversed(path):
+            need[i] = 1 + need[j]
+            j = i
+        return need[j]
+
     chosen = [first]
     for k in range(2, g + 1):
         j = chosen[-1] + 1
-        while k + need[j] > g:
+        while k + need_of(j) > g:
             j += 1
         chosen.append(j)
     return [free[j] for j in chosen]

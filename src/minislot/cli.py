@@ -96,11 +96,16 @@ def _write(flag: str, path: str, text: str, newline: str | None = None) -> bool:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the CSV would overwrite the dump
-    paths = [os.path.realpath(p) for p in (args.out, args.dump_schedules) if p]
-    if len(set(paths)) < len(paths):
-        print(f"minislot: --out and --dump-schedules name one file: {args.out}", file=sys.stderr)
-        return 2
+    # an output would overwrite the scenario file or the other output
+    files = {}
+    if os.path.isfile(args.scenario):
+        files[os.path.realpath(args.scenario)] = "--scenario"
+    for flag, path in (("--dump-schedules", args.dump_schedules), ("--out", args.out)):
+        if path:
+            other = files.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                print(f"minislot: {flag} and {other} name one file: {path}", file=sys.stderr)
+                return 2
     try:
         scenarios = _resolve_scenarios(args)
         rows, dump = [], []

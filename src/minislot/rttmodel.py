@@ -5,8 +5,10 @@ while it is disconnected sits in the AP buffer until it reconnects
 (``_kernels.rtt_samples``).  Acks pile up there, so sends cluster right
 after each reconnection (``RttSamplerConfig``).  Anchoring sends at
 reconnections, not at the period's origin, makes the sampled mean RTT of
-a rotated schedule differ only by sampling noise.  Throughput follows
-from the mean RTT (``vsta_throughput``).
+a rotated schedule differ only by sampling noise.  One draw of send
+times, sorted once for the kernel, serves every delay of a sweep
+(``sweep_rtt_samples``).  Throughput follows from the mean RTT
+(``vsta_throughput``).
 """
 from __future__ import annotations
 
@@ -119,16 +121,34 @@ def sweep_rtt_samples(
 ) -> Iterator[np.ndarray]:
     """Sampled RTTs under a window pattern at each delay, from one draw of send times.
 
+    Every delay sees the same sends (``_send_times``), exactly as separate
+    one-delay calls with the same seed would.  The kernel takes the sends
+    ascending, so they are sorted once per draw, and that one sort serves
+    every delay.  Each delay's RTTs are put back in draw order, so a mean
+    adds the same floats in the same order as over unsorted sends, and
+    keeps its bits; the sort may order equal sends either way, as their
+    RTTs are equal too.
+    """
+    starts, ends, period, sends = _send_times(pattern, cfg)
+    order = sends.argsort()
+    ascending = sends[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    for delay in delays_ms:
+        yield rtt_samples(starts, ends, ascending, delay, period).take(rank)
+
+
+def _send_times(pattern: tuple, cfg: RttSamplerConfig):
+    """``(starts, ends, period, sends)``: a pattern's windows and its draw of send times.
+
     The package lays out a pattern's windows only here.  ``pattern`` is a
-    ``window_pattern``.  Its windows are laid out from
-    time 0: each window starts where the previous one's gap ends, and
-    the last gap closes the period.  Every schedule with the pattern
-    thus gets the same samples, and every delay sees the same sends,
-    exactly as separate one-delay calls with the same seed would.  Send
-    ``k`` of ``n`` follows the reconnection of the window holding the
-    point ``(k + 1/2) / n`` of the connected time; a last window whose
-    gap is 0 runs on into the first across the period boundary, and the
-    sends of both follow its reconnection.
+    ``window_pattern``.  Its windows are laid out from time 0: each
+    window starts where the previous one's gap ends, and the last gap
+    closes the period.  Every schedule with the pattern thus gets the
+    same samples.  Send ``k`` of ``n`` follows the reconnection of the
+    window holding the point ``(k + 1/2) / n`` of the connected time; a
+    last window whose gap is 0 runs on into the first across the period
+    boundary, and the sends of both follow its reconnection.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
@@ -151,8 +171,7 @@ def sweep_rtt_samples(
     # the window each connected-time offset falls in, and its wall-clock time
     idx = np.searchsorted(before[1:], offsets, side="right")
     sends = starts[idx] + (offsets - before[idx])
-    for delay in delays_ms:
-        yield rtt_samples(starts, ends, sends, delay, period)
+    return starts, ends, period, sends
 
 
 def vsta_sum(values: Iterable):

@@ -1,14 +1,22 @@
 """Randomized invariants of the schedule, RTT and allocation layers."""
 import math
+from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from minislot import allocation
+from minislot._kernels import _least_double_above, rtt_samples
 from minislot.allocation import (
     SearchTable,
+    _evenly_spaced_positions,
     _minmax_pick,
+    _smallest_within,
     blind_allocate,
     eq2_objective,
     minmax_allocate,
@@ -18,6 +26,7 @@ from minislot.rttmodel import (
     MAX_MSS_BYTES,
     PathParams,
     RttSamplerConfig,
+    _send_times,
     sample_rtts,
     sweep_rtt_samples,
     vsta_throughput,
@@ -97,6 +106,109 @@ def brute_force_minmax(free, g, total_slots):
     def largest_gap(combo):
         return max(b - a for a, b in zip(combo, combo[1:] + (combo[0] + total_slots,)))
     return list(min(combinations(free, g), key=largest_gap))
+
+
+def reference_smallest_within(free, g, total_slots, d):
+    """``_smallest_within`` as first written: ``reach`` at every free
+    position, and ``need`` at every one from the first chosen on."""
+    m = len(free)
+    reach = [bisect_right(free, f + d) - 1 for f in free]
+    for first in range(m):
+        if free[first] > d:
+            return None
+        end = free[first] + total_slots - d
+        j = first
+        for _ in range(g - 1):
+            if free[j] >= end or reach[j] == j:
+                break
+            j = reach[j]
+        if free[j] >= end:
+            break
+    else:
+        return None
+    need = [0] * m
+    for j in reversed(range(first, m)):
+        if free[j] < end:
+            need[j] = m if reach[j] == j else 1 + need[reach[j]]
+    chosen = [first]
+    for k in range(2, g + 1):
+        j = chosen[-1] + 1
+        while k + need[j] > g:
+            j += 1
+        chosen.append(j)
+    return [free[j] for j in chosen]
+
+
+def reference_minmax_owners(plan):
+    """``minmax_allocate``'s owners as first written: the free positions
+    listed anew for each VSTA, each pick made with ``reference_smallest_within``."""
+    total = plan.total_slots
+    order = sorted(range(1, plan.n_vstas + 1), key=lambda v: (-plan.slot_counts[v - 1], v))
+    g_first = plan.slot_counts[order[0] - 1]
+    owner_of = dict.fromkeys(_evenly_spaced_positions(g_first, total), order[0])
+    with mock.patch.object(allocation, "_smallest_within", reference_smallest_within):
+        for vsta in order[1:-1]:
+            free = [p for p in range(1, total + 1) if p not in owner_of]
+            chosen = _minmax_pick(free, plan.slot_counts[vsta - 1], total)
+            owner_of.update(dict.fromkeys(chosen, vsta))
+    return tuple(owner_of.get(p, order[-1]) for p in range(1, total + 1))
+
+
+def reference_rtt_samples(starts, ends, sends, delay, period):
+    """``_kernels.rtt_samples`` as first written, for sends in any order:
+    each ack's phase by ``fmod`` and its window by counting the window
+    starts at or below it."""
+    # sends and delay are >= 0, where fmod equals % bit for bit
+    phase = np.fmod(sends + delay, period)
+    # i counts the windows opening at or before the ack, so window i is
+    # the next to open (i == len(starts): the first one of the next period)
+    i = np.zeros(phase.shape, np.intp)
+    for start in starts.tolist():
+        i += phase >= start
+    next_starts = np.append(starts, period + starts[0])
+    # the ack lands connected when it falls before the end of window i - 1
+    prev_ends = np.concatenate(([-np.inf], ends))
+    wait = np.where(phase < prev_ends.take(i), 0.0, next_starts.take(i) - phase)
+    return delay + wait
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``, so -0.0 and 0.0 differ."""
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def window_patterns(draw):
+    """A window pattern of 1-9 (length, gap) pairs; only the last gap may
+    be 0, when the last window runs on into the first across the period
+    boundary."""
+    w = draw(st.integers(min_value=1, max_value=9))
+    lengths = draw(st.lists(st.floats(0.001, 40.0), min_size=w, max_size=w))
+    gaps = draw(st.lists(st.floats(0.001, 40.0), min_size=w - 1, max_size=w - 1))
+    last_gap = draw(st.one_of(st.just(0.0), st.floats(0.001, 40.0)))
+    return tuple(zip(lengths, [*gaps, last_gap]))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A laid-out pattern, ascending sends at its edges and within it, and a delay."""
+    pattern = draw(window_patterns())
+    starts, ends, period, _ = _send_times(pattern, RttSamplerConfig(n_samples=1))
+    edges = [0.0, period]
+    for bound in (*starts, *ends):
+        edges += [float(bound), math.nextafter(float(bound), 0.0)]
+    sends = draw(st.lists(st.sampled_from(edges), max_size=30))
+    sends += draw(st.lists(st.floats(0.0, period), max_size=30))
+    k = draw(st.integers(min_value=1, max_value=10**6))
+    multiple = k * period
+    delay = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e15]),
+        st.floats(0.0, 1e6),
+        st.sampled_from([
+            multiple, math.nextafter(multiple, 0.0), math.nextafter(multiple, math.inf)
+        ]),
+    ))
+    return starts, ends, period, np.sort(np.array(sends + [0.0])), delay
 
 
 def slot_walk_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
@@ -325,6 +437,47 @@ class TestRttProperties:
         assert throughput == math.inf or 0.0 < throughput < math.inf
 
 
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    @example((np.array([0.0]), np.array([50.0]), 100.00000000000001,
+              np.array([0.0, 49.99999999999999, 50.0, 100.00000000000001]),
+              100.00000000000001 * 3))
+    @example((np.array([0.0, 30.0]), np.array([10.0, 100.0]), 100.0,
+              np.array([0.0, 9.999999999999998, 10.0, 30.0, 99.99999999999999, 100.0]),
+              5e-324))
+    def test_kernel_is_the_fmod_kernel_bit_for_bit(self, case):
+        """On ascending sends the kernel gives the reference's floats
+        exactly: its phases are ``fmod``'s and its waits round alike."""
+        starts, ends, period, sends, delay = case
+        got = rtt_samples(starts, ends, sends, delay, period)
+        assert bits(got) == bits(reference_rtt_samples(starts, ends, sends, delay, period))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**18), st.floats(0.001, 1e6))
+    def test_least_double_above_a_period_multiple(self, k, period):
+        num, den = period.as_integer_ratio()
+        least = _least_double_above(k * num, den)
+        below = math.nextafter(least, -math.inf)
+        assert Fraction(below) < k * Fraction(period) <= Fraction(least)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window_patterns(),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4),
+    )
+    def test_sweep_yields_draw_order(self, pattern, n, seed, delays):
+        """Sorting the sends for the kernel leaves each delay's RTTs in
+        draw order: the reference kernel's on the unsorted sends."""
+        cfg = RttSamplerConfig(n_samples=n, seed=seed)
+        starts, ends, period, sends = _send_times(pattern, cfg)
+        swept = sweep_rtt_samples(pattern, delays, cfg)
+        for delay, rtts in zip(delays, swept, strict=True):
+            assert bits(rtts) == bits(reference_rtt_samples(starts, ends, sends, delay, period))
+
+
 class TestAllocationProperties:
     @settings(max_examples=15, deadline=None)
     @given(plans(max_vstas=3))
@@ -342,3 +495,16 @@ class TestAllocationProperties:
         chosen = _minmax_pick(free, g, total)
         assert chosen == brute_force_minmax(free, g, total)
 
+    @settings(max_examples=300, deadline=None)
+    @given(free_positions(), st.integers(min_value=1, max_value=16))
+    def test_smallest_within_matches_reference(self, case, d):
+        free, g, total = case
+        assert _smallest_within(free, g, total, d) == reference_smallest_within(free, g, total, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=8))
+    def test_minmax_owners_match_reference(self, counts):
+        """One free list updated by each pick gives the owners that listing
+        the free positions anew for each VSTA gave."""
+        plan = SlotPlan(float(sum(counts)), tuple(counts), (1.0,) * len(counts))
+        assert minmax_allocate(plan).schedule.owners == reference_minmax_owners(plan)

@@ -196,7 +196,8 @@ class TestSampleRtts:
         assert rtts.tolist() == [0.0] * 100
 
     def test_matches_scalar_model(self, case2_contiguous, connected_intervals):
-        """The vectorized kernel must agree with the scalar RTT function."""
+        """The vectorized kernel must agree with the scalar RTT function
+        on sends in the ascending order it takes them."""
         vsta, delay = 3, 37.0
         intervals = connected_intervals(case2_contiguous, vsta)
         widths = [e - s for s, e in intervals]
@@ -209,7 +210,7 @@ class TestSampleRtts:
         # each offset's window, and its wall-clock send time
         cum = np.concatenate(([0.0], np.cumsum(widths)))
         idx = np.searchsorted(cum[1:], offsets, side="right")
-        sends = starts[idx] + (offsets - cum[idx])
+        sends = np.sort(starts[idx] + (offsets - cum[idx]))
         got = rtt_samples(starts, ends, sends, delay, case2_contiguous.period_ms)
 
         for rtt, send in zip(got, sends):

@@ -496,6 +496,19 @@ class TestCli:
         assert "--out" in err and "--dump-schedules" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump-schedules"])
+    def test_output_naming_the_scenario_file_exits_2(self, tmp_path, capsys, flag):
+        """Writing would replace the run's own input, so the scenario file
+        keeps its bytes, also under another spelling of its path."""
+        path = self._write_config(tmp_path, SMALL_CONFIG)
+        before = (tmp_path / "scenario.json").read_bytes()
+        (tmp_path / "sub").mkdir()
+        for alias in (path, str(tmp_path / "sub" / ".." / "scenario.json")):
+            assert main(["--scenario", path, flag, alias]) == 2
+            err = capsys.readouterr().err
+            assert f"{flag} and --scenario name one file: {alias}" in err
+            assert (tmp_path / "scenario.json").read_bytes() == before
+
     @pytest.mark.parametrize("config", [
         {"duty_cycles": [1.0], "slot_time_ms": 10, "delays_ms": [1e-300], "loss_rate": 1e-300},
         {"duty_cycles": [0.5, 0.5], "slot_time_ms": 10, "delays_ms": [1e-200],
