@@ -12,6 +12,7 @@ import sys
 
 from .allocation import EnumerationBudgetError
 from .scenarios import (
+    _CONFIG_KEYS,
     ALGORITHMS,
     ConfigError,
     Scenario,
@@ -22,9 +23,6 @@ from .scenarios import (
     scenario_from_config,
     schedule_dump,
 )
-
-#: the scenario config keys that CLI flags replace; each flag's ``dest`` is its key
-_FLAG_KEYS = ("seed", "n_samples", "mean_fraction", "algorithms")
 
 
 def _names(text: str) -> list[str]:
@@ -68,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_scenarios(args) -> list[Scenario]:
     """The configs ``--scenario`` names, with the flags given merged in, as scenarios.
 
-    The flags are merged before any check, so a bad flag value fails as
-    the same value in a file would.
+    A flag given replaces the config key its ``dest`` names.  The flags are
+    merged before any check, so a bad flag value fails as the same value
+    in a file would.
     """
     if os.path.exists(args.scenario):
         # a file scenario without a name key is named after its path
@@ -77,7 +76,8 @@ def _resolve_scenarios(args) -> list[Scenario]:
     else:
         configs = builtin_configs(args.scenario)
     overrides = {
-        key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None
+        key: value for key, value in vars(args).items()
+        if key in _CONFIG_KEYS and value is not None
     }
     return [scenario_from_config({**config, **overrides}) for config in configs]
 

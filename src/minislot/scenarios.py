@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .allocation import SearchTable, blind_allocate, minmax_allocate, upper_bound_allocate
 from .rttmodel import (
     DEFAULT_LOSS_RATE,
+    DEFAULT_MEAN_FRACTION,
     DEFAULT_MSS_BYTES,
+    DEFAULT_N_SAMPLES,
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
@@ -47,31 +50,129 @@ class ConfigError(ValueError):
 _CSV_BREAKERS = (",", '"', "\r", "\n")
 
 
+def _number(value) -> float:
+    """``value`` as a float if it is a JSON number in the float range.
+
+    Booleans are not numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError("number outside the float range") from None
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list of numbers, got {value!r}")
+    return tuple(_number(x) for x in value)
+
+
+def _number_or_numbers(value) -> float | tuple[float, ...]:
+    return _numbers(value) if isinstance(value, (list, tuple)) else _number(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    if not (isinstance(value, (list, tuple)) and all(isinstance(a, str) for a in value)):
+        raise ConfigError(f"expected a list of names, got {value!r}")
+    return tuple(value)
+
+
+def _duty_cycles(value) -> DutyCycleSet:
+    return DutyCycleSet(_numbers(value))
+
+
+def expand_delays(sweep) -> tuple[float, ...]:
+    """A sweep is either an explicit list or {start, stop, step} (stop inclusive).
+
+    Its ``ConfigError`` does not name the key; ``scenario_from_config`` does.
+    """
+    if isinstance(sweep, dict):
+        unknown = set(sweep) - {"start", "stop", "step"}
+        if unknown:
+            raise ConfigError(f"unknown sweep keys {sorted(unknown)}")
+        try:
+            start, stop, step = (_number(sweep[k]) for k in ("start", "stop", "step"))
+        except KeyError as exc:
+            raise ConfigError(f"sweep misses key {exc}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError("sweep start, stop and step must be finite")
+        if step <= 0:
+            raise ConfigError("sweep step must be positive")
+        span = (stop - start) / step + RATIO_SLACK
+        if span < 0:
+            raise ConfigError("empty sweep range")
+        # Scenario checks the length of every sweep, but this one must not be built
+        if not span < MAX_SWEEP_DELAYS:
+            raise ConfigError(f"sweep has more than {MAX_SWEEP_DELAYS} delays")
+        return tuple(start + k * step for k in range(int(math.floor(span)) + 1))
+    if isinstance(sweep, (list, tuple)):
+        return _numbers(sweep)
+    raise ConfigError("expected a list or a start/stop/step mapping")
+
+
+def _key(parse: Callable, default=MISSING):
+    """A scenario-file key: ``parse`` turns its JSON value into the field's
+    value or raises a ``ValueError``; without a default the key is required."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A delay sweep over one duty-cycle set, built by ``scenario_from_config``.
+    """A delay sweep over one duty-cycle set.
 
-    ``plan`` is the slot plan of the duty cycles and slot time, and
-    ``paths[k]`` holds each VSTA's ``PathParams`` at ``delays_ms[k]``.
-    Both are derived once, on construction; a path that ``PathParams``
-    refuses is a ``ConfigError``.
+    Its init fields are the scenario-file keys, as ``scenario_from_config``
+    parses them.  An empty ``delay_offsets_ms`` or ``loss_rate`` list counts
+    as a missing one, and a scalar ``loss_rate`` holds for every VSTA.
+    ``plan`` is the slot plan of the duty cycles and slot time,
+    ``paths[k]`` holds each VSTA's ``PathParams`` at ``delays_ms[k]``, and
+    ``sampler`` holds ``n_samples``, ``mean_fraction`` and ``seed``.  All
+    three are derived on construction, so ``dataclasses.replace`` checks
+    and derives them again; a path that ``PathParams`` refuses is a
+    ``ConfigError``.
     """
 
-    name: str
-    duty_cycles: DutyCycleSet
-    slot_time_ms: float
-    delays_ms: tuple[float, ...]
-    delay_offsets_ms: tuple[float, ...]
-    loss_rates: tuple[float, ...]
-    mss_bytes: int
-    sampler: RttSamplerConfig
-    algorithms: tuple[str, ...]
+    duty_cycles: DutyCycleSet = _key(_duty_cycles)
+    slot_time_ms: float = _key(_number)
+    delays_ms: tuple[float, ...] = _key(expand_delays)
+    name: str = _key(_string, "custom")
+    delay_offsets_ms: tuple[float, ...] = _key(_numbers, ())
+    loss_rate: float | tuple[float, ...] = _key(_number_or_numbers, DEFAULT_LOSS_RATE)
+    mss_bytes: int = _key(_integer, DEFAULT_MSS_BYTES)
+    n_samples: int = _key(_integer, DEFAULT_N_SAMPLES)
+    mean_fraction: float = _key(_number, DEFAULT_MEAN_FRACTION)
+    seed: int = _key(_integer, DEFAULT_SEED)
+    algorithms: tuple[str, ...] = _key(_names, ("nopolicy", "minmax"))
+    sampler: RttSamplerConfig = field(init=False, compare=False, repr=False)
     plan: SlotPlan = field(init=False, compare=False, repr=False)
     paths: tuple[tuple[PathParams, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        try:
+            sampler = RttSamplerConfig(self.n_samples, self.mean_fraction, self.seed)
+        except ValueError as exc:
+            raise ConfigError(f"sampler: {exc}") from exc
+        object.__setattr__(self, "sampler", sampler)
         n = self.duty_cycles.n_vstas
-        if not isinstance(self.name, str) or any(c in self.name for c in _CSV_BREAKERS):
+        offsets = self.delay_offsets_ms or (0.0,) * n
+        if not isinstance(self.loss_rate, tuple):
+            loss_rates = (self.loss_rate,) * n
+        else:
+            loss_rates = self.loss_rate or (DEFAULT_LOSS_RATE,) * n
+        if any(c in self.name for c in _CSV_BREAKERS):
             raise ConfigError(
                 f"name: expected a string without commas, quotes or line breaks, "
                 f"got {self.name!r}"
@@ -80,14 +181,10 @@ class Scenario:
             raise ConfigError("delays_ms: sweep must be non-empty")
         if len(self.delays_ms) > MAX_SWEEP_DELAYS:
             raise ConfigError(f"delays_ms: sweep has more than {MAX_SWEEP_DELAYS} delays")
-        if len(self.delay_offsets_ms) != n:
-            raise ConfigError(
-                f"delay_offsets_ms: expected {n} entries, got {len(self.delay_offsets_ms)}"
-            )
-        if len(self.loss_rates) != n:
-            raise ConfigError(
-                f"loss_rate: expected scalar or {n} entries, got {len(self.loss_rates)}"
-            )
+        if len(offsets) != n:
+            raise ConfigError(f"delay_offsets_ms: expected {n} entries, got {len(offsets)}")
+        if len(loss_rates) != n:
+            raise ConfigError(f"loss_rate: expected scalar or {n} entries, got {len(loss_rates)}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(
@@ -95,10 +192,10 @@ class Scenario:
                 )
         if not self.algorithms:
             raise ConfigError("algorithms: at least one algorithm required")
-        # a repeat writes its rows twice; delays count as the CSV prints them, -0.0 as 0
+        # a repeat writes its rows twice; delays count as the CSV prints them
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ConfigError("algorithms: an entry is listed more than once")
-        if len({_fmt(d + 0.0) for d in self.delays_ms}) < len(self.delays_ms):
+        if len({_fmt(d) for d in self.delays_ms}) < len(self.delays_ms):
             raise ConfigError("delays_ms: two delays are equal or print alike in the CSV")
         try:
             # DutyCycleSet checked the duty cycles, so only the slot time can fail
@@ -110,13 +207,13 @@ class Scenario:
         for delay in self.delays_ms:
             if not 0.0 <= delay < math.inf:
                 raise ConfigError(f"delays_ms: expected finite delays >= 0, got {delay}")
-        for off in self.delay_offsets_ms:
+        for off in offsets:
             if not 0.0 <= min(self.delays_ms) + off < math.inf:
                 raise ConfigError(f"delay_offsets_ms: offset {off} gives an invalid path delay")
         # an ack lands up to a period plus the path delay after the period
         # starts, and a mean RTT sums n_samples such times
-        longest = plan.period_ms + (max(self.delays_ms) + max(self.delay_offsets_ms))
-        if not self.sampler.n_samples * longest < math.inf:
+        longest = plan.period_ms + (max(self.delays_ms) + max(offsets))
+        if not self.n_samples * longest < math.inf:
             raise ConfigError(
                 "delays_ms: n_samples times the period plus the largest path delay "
                 "is not finite"
@@ -125,7 +222,7 @@ class Scenario:
             paths = tuple(
                 tuple(
                     PathParams(delay_ms=delay + off, loss_rate=p, mss_bytes=self.mss_bytes)
-                    for off, p in zip(self.delay_offsets_ms, self.loss_rates)
+                    for off, p in zip(offsets, loss_rates)
                 )
                 for delay in self.delays_ms
             )
@@ -134,124 +231,30 @@ class Scenario:
         object.__setattr__(self, "paths", paths)
 
 
-_CONFIG_KEYS = {
-    "name",
-    "duty_cycles",
-    "slot_time_ms",
-    "delays_ms",
-    "delay_offsets_ms",
-    "loss_rate",
-    "mss_bytes",
-    "n_samples",
-    "mean_fraction",
-    "seed",
-    "algorithms",
-}
-
-
-def _number(key: str, value) -> float:
-    """``value`` as a float if it is a JSON number in the float range.
-
-    Booleans are not numbers.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key}: number outside the float range") from None
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _numbers(key: str, value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
-    return tuple(_number(key, x) for x in value)
-
-
-def expand_delays(sweep) -> tuple[float, ...]:
-    """A sweep is either an explicit list or {start, stop, step} (stop inclusive)."""
-    if isinstance(sweep, dict):
-        unknown = set(sweep) - {"start", "stop", "step"}
-        if unknown:
-            raise ConfigError(f"delays_ms: unknown sweep keys {sorted(unknown)}")
-        try:
-            start, stop, step = (
-                _number("delays_ms", sweep[k]) for k in ("start", "stop", "step")
-            )
-        except KeyError as exc:
-            raise ConfigError(f"delays_ms: sweep misses key {exc}") from exc
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError("delays_ms: sweep start, stop and step must be finite")
-        if step <= 0:
-            raise ConfigError("delays_ms: sweep step must be positive")
-        span = (stop - start) / step + RATIO_SLACK
-        if span < 0:
-            raise ConfigError("delays_ms: empty sweep range")
-        # Scenario checks the length of every sweep, but this one must not be built
-        if not span < MAX_SWEEP_DELAYS:
-            raise ConfigError(f"delays_ms: sweep has more than {MAX_SWEEP_DELAYS} delays")
-        return tuple(start + k * step for k in range(int(math.floor(span)) + 1))
-    if isinstance(sweep, (list, tuple)):
-        return _numbers("delays_ms", sweep)
-    raise ConfigError("delays_ms: expected a list or a start/stop/step mapping")
+#: the scenario-file keys, in field order
+_CONFIG_KEYS = {f.name: f for f in fields(Scenario) if f.init}
 
 
 def scenario_from_config(config: dict) -> Scenario:
     """Build a scenario from a flat configuration mapping.
 
     Unknown keys are errors: a silent typo would corrupt an experiment.
-    So are values of the wrong JSON type, which are never coerced.  An
-    empty ``delay_offsets_ms`` or ``loss_rate`` list counts as a missing one.
+    So are values of the wrong JSON type, which are never coerced.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("scenario config must be a mapping")
-    unknown = set(config) - _CONFIG_KEYS
+    unknown = set(config) - _CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for key in ("duty_cycles", "slot_time_ms", "delays_ms"):
-        if key not in config:
-            raise ConfigError(f"{key}: field is required")
-    fractions = _numbers("duty_cycles", config["duty_cycles"])
-    try:
-        duty = DutyCycleSet(fractions)
-    except ValueError as exc:
-        raise ConfigError(f"duty_cycles: {exc}") from exc
-    n = duty.n_vstas
-    loss = config.get("loss_rate", ())
-    loss_rates = _numbers("loss_rate", loss) if isinstance(loss, (list, tuple)) else (
-        (_number("loss_rate", loss),) * n
-    )
-    algorithms = config.get("algorithms", ("nopolicy", "minmax"))
-    if not (isinstance(algorithms, (list, tuple)) and all(isinstance(a, str) for a in algorithms)):
-        raise ConfigError(f"algorithms: expected a list of names, got {algorithms!r}")
-    n_samples = _integer("n_samples", config.get("n_samples", RttSamplerConfig.n_samples))
-    mean_fraction = _number(
-        "mean_fraction", config.get("mean_fraction", RttSamplerConfig.mean_fraction)
-    )
-    seed = _integer("seed", config.get("seed", DEFAULT_SEED))
-    try:
-        sampler = RttSamplerConfig(n_samples, mean_fraction, seed)
-    except ValueError as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
-    return Scenario(
-        name=config.get("name", "custom"),
-        duty_cycles=duty,
-        slot_time_ms=_number("slot_time_ms", config["slot_time_ms"]),
-        delays_ms=expand_delays(config["delays_ms"]),
-        delay_offsets_ms=(
-            _numbers("delay_offsets_ms", config.get("delay_offsets_ms", ())) or (0.0,) * n
-        ),
-        loss_rates=loss_rates or (DEFAULT_LOSS_RATE,) * n,
-        mss_bytes=_integer("mss_bytes", config.get("mss_bytes", DEFAULT_MSS_BYTES)),
-        sampler=sampler,
-        algorithms=tuple(algorithms),
-    )
+    for key in _CONFIG_KEYS.values():
+        if key.default is MISSING and key.name not in config:
+            raise ConfigError(f"{key.name}: field is required")
+    typed = {}
+    for key in _CONFIG_KEYS.values():
+        if key.name in config:
+            try:
+                typed[key.name] = key.metadata["parse"](config[key.name])
+            except ValueError as exc:
+                raise ConfigError(f"{key.name}: {exc}") from exc
+    return Scenario(**typed)
 
 
 def _json_integer(digits: str) -> int | float:
@@ -406,7 +409,6 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     search reads the pattern first.
     """
     sweep = _Sweep(scenario)
-    seed = scenario.sampler.seed
     schedules: dict[str, SlotSchedule] = {}
 
     def evaluate(alg: str) -> list:
@@ -439,14 +441,15 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
             ]
             cells.append(("all", None, None, _ratio(agg, base_agg)))
             rows.extend(
-                ResultRow(scenario.name, alg, delay, vsta, rtt, th, agg, ratio, seed)
+                ResultRow(scenario.name, alg, delay, vsta, rtt, th, agg, ratio, scenario.seed)
                 for vsta, rtt, th, ratio in cells
             )
     return ScenarioRun(rows, schedules)
 
 
 def _fmt(value: float | None) -> str:
-    return "" if value is None else format(value, ".6g")
+    """A float to six significant digits, -0.0 as 0; ``None`` as nothing."""
+    return "" if value is None else format(value + 0.0, ".6g")
 
 
 def emit_csv(rows: Sequence[ResultRow]) -> str:
@@ -454,25 +457,19 @@ def emit_csv(rows: Sequence[ResultRow]) -> str:
 
     Rows are sorted by scenario, delay, algorithm and VSTA, the
     aggregate row ``all`` last, so a scenario and seed give the same bytes.
-    The cells follow ``ResultRow``'s fields, which ``CSV_HEADER`` names.
+    The cells follow ``ResultRow``'s fields, which ``CSV_HEADER`` names:
+    text and integers as they are, floats by ``_fmt``.
     """
 
     def sort_key(row: ResultRow):
         vsta_key = (1, 0) if row.vsta == "all" else (0, int(row.vsta))
         return (row.scenario, row.base_delay_ms, row.algorithm, vsta_key)
 
+    cells = attrgetter(*(f.name for f in fields(ResultRow)))
     lines = [CSV_HEADER]
     for row in sorted(rows, key=sort_key):
         lines.append(",".join([
-            row.scenario,
-            row.algorithm,
-            _fmt(row.base_delay_ms),
-            row.vsta,
-            _fmt(row.mean_rtt_ms),
-            _fmt(row.throughput_bps),
-            _fmt(row.aggregate_bps),
-            _fmt(row.ratio_vs_nopolicy),
-            str(row.seed),
+            str(cell) if isinstance(cell, (str, int)) else _fmt(cell) for cell in cells(row)
         ]))
     return "\n".join(lines) + "\n"
 

@@ -1,13 +1,14 @@
 """The README's CLI contract agrees with the code it describes.
 
 The README keeps what a user of the CLI needs: the flags, the scenario
-file keys, the CSV header, the input bounds and an example scenario
-file.  Each check reads the value from the code, so a changed flag, key
-or bound fails here until the README follows.
+file keys and their defaults, the CSV header, the input bounds and an
+example scenario file.  Each check reads the value from the code, so a
+changed flag, key, default or bound fails here until the README follows.
 """
 import importlib
 import json
 import re
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,9 @@ from minislot import cli, scenarios
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 # from the CLI section up to "Tests", which names pytest's and pip's flags
 CLI_SECTION = README[README.index("\n## CLI\n"):README.index("\n## Tests\n")]
+KEY_TABLE = CLI_SECTION[CLI_SECTION.index("| Key | Value | Default |"):].split("\n\n")[0]
+# each scenario-file key of the table -> its Default cell
+DEFAULT_CELLS = dict(re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", KEY_TABLE, re.MULTILINE))
 
 BOUNDS = [
     "allocation.MAX_OWNER_VECTORS",
@@ -48,9 +52,34 @@ def test_flags_match_the_parser():
     assert set(re.findall(r"--[a-z][a-z-]*", CLI_SECTION)) <= options
 
 
+def test_key_table_rows_are_the_scenario_fields():
+    """The table lists ``Scenario``'s init fields, the keys, in field order."""
+    assert list(DEFAULT_CELLS) == list(scenarios._CONFIG_KEYS)
+
+
 @pytest.mark.parametrize("key", sorted(scenarios._CONFIG_KEYS))
 def test_config_key_is_listed(key):
-    assert f"| `{key}` |" in CLI_SECTION
+    """The key's Default cell is its field's default as JSON, or ``required``;
+    ``name``'s gives the CLI's rule instead, which names a file by its path."""
+    field = scenarios._CONFIG_KEYS[key]
+    cell = DEFAULT_CELLS[key]
+    if key == "name":
+        assert cell == "the file's path"
+    elif field.default is MISSING:
+        assert cell == "required"
+    else:
+        assert cell.startswith(f"`{json.dumps(field.default)}`")
+
+
+def test_file_without_name_is_named_by_its_path(tmp_path, capsys):
+    """The rule ``name``'s Default cell states."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(
+        {"duty_cycles": [1.0], "slot_time_ms": 10, "delays_ms": [5], "algorithms": ["nopolicy"]}
+    ))
+    assert cli.main(["--scenario", str(path), "--samples", "10"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and {row.split(",")[0] for row in rows} == {str(path)}
 
 
 def test_csv_header_is_verbatim():

@@ -171,10 +171,6 @@ class TestScenarioFromConfig:
         with pytest.raises(ConfigError, match="typo_field"):
             scenario_from_config(config)
 
-    def test_non_mapping_rejected(self):
-        with pytest.raises(ConfigError, match="must be a mapping"):
-            scenario_from_config([SMALL_CONFIG])
-
     def test_missing_required_field(self):
         config = dict(SMALL_CONFIG)
         del config["duty_cycles"]
@@ -202,13 +198,15 @@ class TestScenarioFromConfig:
     def test_per_vsta_loss_rates(self):
         config = dict(SMALL_CONFIG, loss_rate=[0.001, 0.002])
         scenario = scenario_from_config(config)
-        assert scenario.loss_rates == (0.001, 0.002)
+        assert [path.loss_rate for path in scenario.paths[0]] == [0.001, 0.002]
 
     @pytest.mark.parametrize("lists", ({}, {"delay_offsets_ms": [], "loss_rate": []}))
     def test_missing_or_empty_lists_take_the_defaults(self, lists):
         scenario = scenario_from_config(dict(SMALL_CONFIG, **lists))
-        assert scenario.delay_offsets_ms == (0.0, 0.0)
-        assert scenario.loss_rates == (rttmodel.DEFAULT_LOSS_RATE,) * 2
+        # SMALL_CONFIG's first delay is 10 ms
+        assert [(path.delay_ms, path.loss_rate) for path in scenario.paths[0]] == (
+            [(10.0, rttmodel.DEFAULT_LOSS_RATE)] * 2
+        )
 
     @pytest.mark.parametrize(
         "sweep", (list(range(10_000)), {"start": 0, "stop": 9_999, "step": 1}),
@@ -555,6 +553,16 @@ class TestCli:
         ]) == 0
         assert main(["--scenario", path, "--out", str(from_file)]) == 0
         assert from_builtin.read_bytes() == from_file.read_bytes()
+
+    def test_negative_zero_delay_writes_the_bytes_of_zero(self, tmp_path, capsys):
+        """-0.0 and 0 are one delay, so they print alike in the CSV."""
+        outputs = []
+        for zero in (-0.0, 0):
+            path = self._write_config(tmp_path, dict(SMALL_CONFIG, delays_ms=[zero, 5]))
+            assert main(["--scenario", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "\nsmall,minmax,0,1," in outputs[0]
 
     def test_algorithm_and_seed_overrides(self, tmp_path):
         path = self._write_config(tmp_path, SMALL_CONFIG)
