@@ -6,34 +6,33 @@ import math
 import numpy as np
 
 
-def rtt_samples(starts, ends, sends, delay: float, period: float) -> np.ndarray:
+def rtt_samples(bounds, sends, delay: float) -> np.ndarray:
     """RTT of each wall-clock send time in the ascending ``sends``, in ms.
 
-    Each ack lands ``delay`` after its send and, if the VSTA is
-    disconnected then, waits in the AP buffer until its next window
-    opens.  ``starts``/``ends`` are the VSTA's sorted, disjoint connected
-    intervals within one ``period`` (half-open); ``sends`` and ``delay``
-    are >= 0, and ``sends`` must ascend.
+    ``bounds`` is a VSTA's window layout from ``rttmodel._send_times``:
+    ``0, end 0, start 1, end 1, ..., end of the last window, period``.
+    The first window must open at 0; window ``i`` is ``[bounds[2i],
+    bounds[2i + 1])``.  Each ack lands ``delay`` after its send and, if
+    the VSTA is disconnected then, waits in the AP buffer until its next
+    window opens.  ``sends`` and ``delay`` are >= 0, and ``sends`` must
+    ascend.
 
     Ascending sends give ascending acks, which fall into runs of whole
     periods ``k``.  Within a run the ack phases ascend too, so each
     window and each gap holds one slice of them: a window's acks get
-    ``delay``, and a gap's acks ``delay + (next start - phase)``.  Each
-    phase is the ack minus ``k * period`` exactly, so it equals
-    ``fmod(ack, period)`` bit for bit.
+    ``delay``, and those of the gap before window ``i`` (for the last
+    gap, the first window again, at the period) ``delay + (bounds[2i] -
+    phase)``.  Each phase is the ack minus ``k * period`` exactly, so it
+    equals ``fmod(ack, period)`` bit for bit.
     """
-    delay, period = float(delay), float(period)
+    delay, period = float(delay), float(bounds[-1])
     acks = sends + delay
     rtts = np.full(acks.shape, delay + 0.0)
-    next_starts = np.append(starts, period + starts[0])
-    # gap i runs from the end of window i - 1 (none for gap 0) to next_starts[i]
-    gap_bounds = np.concatenate(([-np.inf], ends, next_starts))
     num, den = period.as_integer_ratio()
     first, last = (_periods_below(float(ack), num, den) for ack in (acks[0], acks[-1]))
     # run k holds the acks >= k * period: those >= the least double >= it
     least = [_least_double_above(k * num, den) for k in range(first + 1, last + 1)]
     cuts = [0, *acks.searchsorted(least).tolist(), acks.size]
-    gap_starts = next_starts.tolist()
     for k, a, b in zip(range(first, last + 1), cuts, cuts[1:]):
         if a == b:
             continue
@@ -45,8 +44,8 @@ def rtt_samples(starts, ends, sends, delay: float, period: float) -> np.ndarray:
             hn, hd = head.as_integer_ratio()
             phases -= head
             phases += (hn * den - k * num * hd) / (hd * den)
-        bounds = phases.searchsorted(gap_bounds).tolist()
-        for lower, upper, start in zip(bounds, bounds[len(gap_starts):], gap_starts):
+        edges = phases.searchsorted(bounds).tolist()
+        for lower, upper, start in zip(edges[1::2], edges[2::2], bounds[2::2]):
             if lower < upper:
                 waits = rtts[a + lower:a + upper]
                 np.subtract(start, phases[lower:upper], out=waits)

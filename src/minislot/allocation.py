@@ -267,13 +267,13 @@ def _smallest_within(free: Sequence[int], g: int, total_slots: int, d: int) -> l
 
 def blind_allocate(
     table: SearchTable,
-    objective: str = "eq2",
+    objective: str,
     paths: Sequence[PathParams] | None = None,
 ) -> AllocationResult:
     """Exhaustive search over every feasible schedule of ``table``.
 
-    ``objective="eq2"`` maximizes the sum of inverse worst
-    disconnection times; ``objective="eq1"`` minimizes the total
+    ``objective`` names the score: ``"eq2"`` maximizes the sum of
+    inverse worst disconnection times, and ``"eq1"`` minimizes the total
     throughput penalty and requires ``paths``.  Ties keep the first row
     in ``SearchTable`` order.
     """

@@ -63,14 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scenarios(args) -> list[Scenario]:
+def _resolve_scenarios(args, is_file: bool) -> list[Scenario]:
     """The configs ``--scenario`` names, with the flags given merged in, as scenarios.
 
-    A flag given replaces the config key its ``dest`` names.  The flags are
+    ``--scenario`` names the JSON file at its path if ``is_file``, else a
+    built-in; so a directory named like a built-in does not hide it.  A
+    flag given replaces the config key its ``dest`` names.  The flags are
     merged before any check, so a bad flag value fails as the same value
     in a file would.
     """
-    if os.path.exists(args.scenario):
+    if is_file:
         # a file scenario without a name key is named after its path
         configs = [{"name": args.scenario, **load_config(args.scenario)}]
     else:
@@ -98,7 +100,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # an output would overwrite the scenario file or the other output
     files = {}
-    if os.path.isfile(args.scenario):
+    is_file = os.path.isfile(args.scenario)
+    if is_file:
         files[os.path.realpath(args.scenario)] = "--scenario"
     for flag, path in (("--dump-schedules", args.dump_schedules), ("--out", args.out)):
         if path:
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
                 print(f"minislot: {flag} and {other} name one file: {path}", file=sys.stderr)
                 return 2
     try:
-        scenarios = _resolve_scenarios(args)
+        scenarios = _resolve_scenarios(args, is_file)
         rows, dump = [], []
         for scenario in scenarios:
             run = run_scenario(scenario)

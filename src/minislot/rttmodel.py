@@ -23,16 +23,11 @@ from .schedule import SlotSchedule, window_pattern
 
 #: loss rates at or above this bound invalidate the Reno throughput model
 MAX_LOSS_RATE = 0.02
-
-DEFAULT_LOSS_RATE = 0.0032
-DEFAULT_MSS_BYTES = 1460
 #: the largest MSS the 16-bit TCP MSS option carries
 MAX_MSS_BYTES = 65_535
-DEFAULT_N_SAMPLES = 10000
 #: most RTT samples per (VSTA, delay).  A draw holds several float64
 #: arrays of this length at once, so far larger counts would exhaust memory.
 MAX_N_SAMPLES = 1_000_000
-DEFAULT_MEAN_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -46,8 +41,8 @@ class PathParams:
     """
 
     delay_ms: float
-    loss_rate: float = DEFAULT_LOSS_RATE
-    mss_bytes: int = DEFAULT_MSS_BYTES
+    loss_rate: float
+    mss_bytes: int
 
     def __post_init__(self):
         # chained comparisons are false for NaN
@@ -79,9 +74,9 @@ class RttSamplerConfig:
     current connectivity period happens in the next one).
     """
 
-    n_samples: int = DEFAULT_N_SAMPLES
-    mean_fraction: float = DEFAULT_MEAN_FRACTION
-    seed: int = 0
+    n_samples: int
+    mean_fraction: float
+    seed: int
 
     def __post_init__(self):
         if not 1 <= self.n_samples <= MAX_N_SAMPLES:
@@ -129,30 +124,31 @@ def sweep_rtt_samples(
     keeps its bits; the sort may order equal sends either way, as their
     RTTs are equal too.
     """
-    starts, ends, period, sends = _send_times(pattern, cfg)
+    bounds, sends = _send_times(pattern, cfg)
     order = sends.argsort()
     ascending = sends[order]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     for delay in delays_ms:
-        yield rtt_samples(starts, ends, ascending, delay, period).take(rank)
+        yield rtt_samples(bounds, ascending, delay).take(rank)
 
 
 def _send_times(pattern: tuple, cfg: RttSamplerConfig):
-    """``(starts, ends, period, sends)``: a pattern's windows and its draw of send times.
+    """``(bounds, sends)``: a pattern's windows and its draw of send times.
 
     The package lays out a pattern's windows only here.  ``pattern`` is a
     ``window_pattern``.  Its windows are laid out from time 0: each
     window starts where the previous one's gap ends, and the last gap
-    closes the period.  Every schedule with the pattern thus gets the
-    same samples.  Send ``k`` of ``n`` follows the reconnection of the
-    window holding the point ``(k + 1/2) / n`` of the connected time; a
-    last window whose gap is 0 runs on into the first across the period
-    boundary, and the sends of both follow its reconnection.
+    closes the period, as ``bounds`` lists them for
+    ``_kernels.rtt_samples``.  Every schedule with the pattern thus gets
+    the same samples.  Send ``k`` of ``n`` follows the reconnection of
+    the window holding the point ``(k + 1/2) / n`` of the connected time;
+    a last window whose gap is 0 runs on into the first across the
+    period boundary, and the sends of both follow its reconnection.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
-    starts, ends, period = bounds[:-1:2], bounds[1::2], float(bounds[-1])
+    starts, ends = bounds[:-1:2], bounds[1::2]
     # the windows laid end to end: connected time before each window, then in
     # all.  It gives the anchors, the stratification points and the map to
     # wall-clock sends; its total is the exponential's scale and wrap modulus.
@@ -171,7 +167,7 @@ def _send_times(pattern: tuple, cfg: RttSamplerConfig):
     # the window each connected-time offset falls in, and its wall-clock time
     idx = np.searchsorted(before[1:], offsets, side="right")
     sends = starts[idx] + (offsets - before[idx])
-    return starts, ends, period, sends
+    return bounds, sends
 
 
 def vsta_sum(values: Iterable):

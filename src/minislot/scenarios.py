@@ -15,10 +15,6 @@ from typing import Callable, Sequence
 
 from .allocation import SearchTable, blind_allocate, minmax_allocate, upper_bound_allocate
 from .rttmodel import (
-    DEFAULT_LOSS_RATE,
-    DEFAULT_MEAN_FRACTION,
-    DEFAULT_MSS_BYTES,
-    DEFAULT_N_SAMPLES,
     PathParams,
     RttSamplerConfig,
     ThroughputEvaluator,
@@ -39,7 +35,8 @@ DEFAULT_SWEEP = tuple(float(d) for d in range(0, 201, 5))
 #: evaluated at every delay, and eq1 and upperbound search once per delay,
 #: so far longer sweeps would hang.
 MAX_SWEEP_DELAYS = 10_000
-DEFAULT_SEED = 12345
+#: the ``loss_rate`` of every VSTA when the key is missing or ``[]``
+DEFAULT_LOSS_RATE = 0.0032
 
 
 class ConfigError(ValueError):
@@ -148,13 +145,13 @@ class Scenario:
     duty_cycles: DutyCycleSet = _key(_duty_cycles)
     slot_time_ms: float = _key(_number)
     delays_ms: tuple[float, ...] = _key(expand_delays)
-    name: str = _key(_string, "custom")
+    name: str = _key(_string)
     delay_offsets_ms: tuple[float, ...] = _key(_numbers, ())
     loss_rate: float | tuple[float, ...] = _key(_number_or_numbers, DEFAULT_LOSS_RATE)
-    mss_bytes: int = _key(_integer, DEFAULT_MSS_BYTES)
-    n_samples: int = _key(_integer, DEFAULT_N_SAMPLES)
-    mean_fraction: float = _key(_number, DEFAULT_MEAN_FRACTION)
-    seed: int = _key(_integer, DEFAULT_SEED)
+    mss_bytes: int = _key(_integer, 1460)
+    n_samples: int = _key(_integer, 10000)
+    mean_fraction: float = _key(_number, 0.25)
+    seed: int = _key(_integer, 12345)
     algorithms: tuple[str, ...] = _key(_names, ("nopolicy", "minmax"))
     sampler: RttSamplerConfig = field(init=False, compare=False, repr=False)
     plan: SlotPlan = field(init=False, compare=False, repr=False)

@@ -24,7 +24,7 @@ from minislot.rttmodel import (
     sweep_rtt_samples,
     vsta_seed,
 )
-from minislot.scenarios import DEFAULT_SEED, DEFAULT_SWEEP, builtin_scenarios, run_scenario
+from minislot.scenarios import DEFAULT_SWEEP, Scenario, builtin_scenarios, run_scenario
 from minislot.schedule import (
     DutyCycleSet,
     SlotPlan,
@@ -213,7 +213,8 @@ def test_criterion_9_property_suite(rotated):
             checks.append(abs(total - (1 - f) * plan.period_ms) <= 1e-6)
 
         # RTT bounds and per-seed determinism
-        cfg = RttSamplerConfig(n_samples=200, seed=int(rng.integers(1 << 30)))
+        seed = int(rng.integers(1 << 30))
+        cfg = RttSamplerConfig(n_samples=200, mean_fraction=0.25, seed=seed)
         delay = float(rng.uniform(0.0, 150.0))
         key = window_pattern(schedule, 1)
         (rtts,) = sweep_rtt_samples(key, (delay,), cfg)
@@ -244,7 +245,9 @@ def test_criterion_9_property_suite(rotated):
     # sampled mean vs analytic mean, contiguous f=0.5 at delay 50
     plan_half = derive_slot_plan(DutyCycleSet([0.5, 0.5]), 50.0)
     schedule_half = build_contiguous_schedule(plan_half)
-    cfg = RttSamplerConfig(seed=vsta_seed(DEFAULT_SEED, 1))
+    cfg = RttSamplerConfig(
+        Scenario.n_samples, Scenario.mean_fraction, vsta_seed(Scenario.seed, 1)
+    )
     (sampled,) = sample_rtts(window_pattern(schedule_half, 1), (50.0,), cfg).means_ms
     window, mean = 50.0, 12.5
     # E[t mod window] for an exponential send offset, in closed form

@@ -33,6 +33,11 @@ from minislot.schedule import (
 )
 
 
+def wired_path(delay_ms):
+    """A path with the scenario defaults' loss rate and MSS."""
+    return PathParams(delay_ms, 0.0032, 1460)
+
+
 def sweep_evaluator(cfg, *paths_by_delay):
     """An evaluator for the sweep of the given per-delay path lists."""
     return ThroughputEvaluator(
@@ -203,7 +208,7 @@ class TestObjectives:
     def test_eq1_prefers_shorter_worst_gaps(self, case2_plan):
         """On equal paths the eq1 winner spreads VSTAs 1 and 3 as min-max
         does: no worst gap longer than the contiguous schedule's."""
-        paths = [PathParams(delay_ms=50.0)] * 3
+        paths = [wired_path(50.0)] * 3
         won = worst_gaps(blind_allocate(SearchTable(case2_plan), "eq1", paths))
         assert won == pytest.approx((12.5, 87.5, 37.5), abs=1e-9)
         contiguous = build_contiguous_schedule(case2_plan)
@@ -211,7 +216,7 @@ class TestObjectives:
 
     def test_eq1_zero_delay_is_infinite(self, case2_plan):
         """At delay 0 every schedule loses the whole unbounded throughput."""
-        paths = [PathParams(delay_ms=0.0)] * 3
+        paths = [wired_path(0.0)] * 3
         assert blind_allocate(SearchTable(case2_plan), "eq1", paths).objective_value == math.inf
 
 
@@ -300,10 +305,10 @@ class TestBlindAllocate:
 
     def test_eq1_path_count_checked(self, case2_plan):
         with pytest.raises(ValueError, match="expected 3 paths, got 1"):
-            blind_allocate(SearchTable(case2_plan), "eq1", [PathParams(delay_ms=10.0)])
+            blind_allocate(SearchTable(case2_plan), "eq1", [wired_path(10.0)])
 
     def test_eq1_dominates_every_schedule(self, case2_plan, eq1_penalty):
-        paths = [PathParams(delay_ms=d) for d in (30.0, 50.0, 70.0)]
+        paths = [wired_path(d) for d in (30.0, 50.0, 70.0)]
         best = blind_allocate(SearchTable(case2_plan), "eq1", paths=paths).objective_value
         assert all(eq1_penalty(s, paths) >= best - 1e-9 for s in all_schedules(case2_plan))
 
@@ -323,10 +328,10 @@ class TestBlindAllocate:
 
 
 class TestUpperBoundAllocate:
-    CFG = RttSamplerConfig(n_samples=500, seed=3)
+    CFG = RttSamplerConfig(n_samples=500, mean_fraction=0.25, seed=3)
 
     def test_dominates_heuristic(self, case2_plan, aggregate):
-        paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
+        paths = [wired_path(d) for d in (40.0, 60.0, 80.0)]
         evaluator = sweep_evaluator(self.CFG, paths)
         result = upper_bound_allocate(SearchTable(case2_plan), paths, evaluator)
         heuristic = minmax_allocate(case2_plan).schedule
@@ -334,14 +339,14 @@ class TestUpperBoundAllocate:
         assert result.evaluations == 280
 
     def test_deterministic(self, case3_plan):
-        paths = [PathParams(delay_ms=d) for d in (40.0, 60.0, 80.0)]
+        paths = [wired_path(d) for d in (40.0, 60.0, 80.0)]
         a = upper_bound_allocate(SearchTable(case3_plan), paths, sweep_evaluator(self.CFG, paths))
         b = upper_bound_allocate(SearchTable(case3_plan), paths, sweep_evaluator(self.CFG, paths))
         assert a.schedule.owners == b.schedule.owners
         assert a.objective_value == b.objective_value
 
     def test_path_count_checked(self, case2_plan):
-        paths = [PathParams(delay_ms=40.0)]
+        paths = [wired_path(40.0)]
         with pytest.raises(ValueError, match="expected 3 paths, got 1"):
             upper_bound_allocate(SearchTable(case2_plan), paths, sweep_evaluator(self.CFG, paths))
 
@@ -410,7 +415,7 @@ class TestSearchTable:
 
 
 class TestTableSearchMatchesBruteForce:
-    CFG = RttSamplerConfig(n_samples=300, seed=5)
+    CFG = RttSamplerConfig(n_samples=300, mean_fraction=0.25, seed=5)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_eq2(self, name):
@@ -423,14 +428,14 @@ class TestTableSearchMatchesBruteForce:
     @pytest.mark.parametrize("delay", (0.0, 10.0, 55.0))
     def test_eq1(self, name, delay, eq1_penalty):
         plan = plan_named(name)
-        paths = [PathParams(delay_ms=delay + 20.0 * i) for i in range(plan.n_vstas)]
+        paths = [wired_path(delay + 20.0 * i) for i in range(plan.n_vstas)]
         result = blind_allocate(SearchTable(plan), "eq1", paths=paths)
         want = brute_force(plan, lambda s: eq1_penalty(s, paths), lambda a, b: a < b)
         assert (result.schedule.owners, result.objective_value, result.evaluations) == want
 
     def test_tie_break_keeps_first_owner_vector(self):
         plan = plan_named("halves")
-        paths = [PathParams(delay_ms=30.0)] * 2
+        paths = [wired_path(30.0)] * 2
         for result in (
             blind_allocate(SearchTable(plan), "eq2"),
             blind_allocate(SearchTable(plan), "eq1", paths=paths),
@@ -448,7 +453,7 @@ class TestTableSearchMatchesBruteForce:
         """
         plan = plan_named(name)
         paths_by_delay = [
-            [PathParams(delay_ms=base + 20.0 * i) for i in range(plan.n_vstas)]
+            [wired_path(base + 20.0 * i) for i in range(plan.n_vstas)]
             for base in (0.0, 10.0, 55.0, 10.0)
         ]
         table = SearchTable(plan)

@@ -172,6 +172,11 @@ def reference_rtt_samples(starts, ends, sends, delay, period):
     return delay + wait
 
 
+def reference(bounds, sends, delay):
+    """``reference_rtt_samples`` on the windows of a kernel's ``bounds``."""
+    return reference_rtt_samples(bounds[:-1:2], bounds[1::2], sends, delay, bounds[-1])
+
+
 def bits(values):
     """The float64 bit patterns of ``values``, so -0.0 and 0.0 differ."""
     return np.asarray(values, np.float64).view(np.int64).tolist()
@@ -191,12 +196,14 @@ def window_patterns(draw):
 
 @st.composite
 def kernel_cases(draw):
-    """A laid-out pattern, ascending sends at its edges and within it, and a delay."""
+    """A laid-out pattern's bounds, ascending sends at its edges and within
+    it, and a delay."""
     pattern = draw(window_patterns())
-    starts, ends, period, _ = _send_times(pattern, RttSamplerConfig(n_samples=1))
-    edges = [0.0, period]
-    for bound in (*starts, *ends):
-        edges += [float(bound), math.nextafter(float(bound), 0.0)]
+    bounds, _ = _send_times(pattern, RttSamplerConfig(n_samples=1, mean_fraction=0.25, seed=0))
+    period = float(bounds[-1])
+    edges = []
+    for bound in bounds.tolist():
+        edges += [bound, math.nextafter(bound, 0.0)]
     sends = draw(st.lists(st.sampled_from(edges), max_size=30))
     sends += draw(st.lists(st.floats(0.0, period), max_size=30))
     k = draw(st.integers(min_value=1, max_value=10**6))
@@ -208,7 +215,7 @@ def kernel_cases(draw):
             multiple, math.nextafter(multiple, 0.0), math.nextafter(multiple, math.inf)
         ]),
     ))
-    return starts, ends, period, np.sort(np.array(sends + [0.0])), delay
+    return bounds, np.sort(np.array(sends + [0.0])), delay
 
 
 def slot_walk_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
@@ -393,7 +400,7 @@ class TestRttProperties:
     )
     def test_rtt_bounds_and_determinism(self, plan_schedule, delay, seed):
         plan, schedule = plan_schedule
-        cfg = RttSamplerConfig(n_samples=300, seed=seed)
+        cfg = RttSamplerConfig(n_samples=300, mean_fraction=0.25, seed=seed)
         for vsta in range(1, plan.n_vstas + 1):
             key = window_pattern(schedule, vsta)
             (rtts,) = sweep_rtt_samples(key, (delay,), cfg)
@@ -412,7 +419,7 @@ class TestRttProperties:
     def test_sweep_mean_is_the_one_delay_mean(self, plan_schedule, delays, seed):
         """One draw for a sweep gives each delay the bits of a one-delay draw."""
         plan, schedule = plan_schedule
-        cfg = RttSamplerConfig(n_samples=300, seed=seed)
+        cfg = RttSamplerConfig(n_samples=300, mean_fraction=0.25, seed=seed)
         for vsta in range(1, plan.n_vstas + 1):
             key = window_pattern(schedule, vsta)
             swept = sample_rtts(key, delays, cfg).means_ms
@@ -440,18 +447,18 @@ class TestRttProperties:
 class TestKernelProperties:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
-    @example((np.array([0.0]), np.array([50.0]), 100.00000000000001,
+    @example((np.array([0.0, 50.0, 100.00000000000001]),
               np.array([0.0, 49.99999999999999, 50.0, 100.00000000000001]),
               100.00000000000001 * 3))
-    @example((np.array([0.0, 30.0]), np.array([10.0, 100.0]), 100.0,
+    @example((np.array([0.0, 10.0, 30.0, 100.0, 100.0]),
               np.array([0.0, 9.999999999999998, 10.0, 30.0, 99.99999999999999, 100.0]),
               5e-324))
     def test_kernel_is_the_fmod_kernel_bit_for_bit(self, case):
         """On ascending sends the kernel gives the reference's floats
         exactly: its phases are ``fmod``'s and its waits round alike."""
-        starts, ends, period, sends, delay = case
-        got = rtt_samples(starts, ends, sends, delay, period)
-        assert bits(got) == bits(reference_rtt_samples(starts, ends, sends, delay, period))
+        bounds, sends, delay = case
+        got = rtt_samples(bounds, sends, delay)
+        assert bits(got) == bits(reference(bounds, sends, delay))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=10**18), st.floats(0.001, 1e6))
@@ -471,11 +478,11 @@ class TestKernelProperties:
     def test_sweep_yields_draw_order(self, pattern, n, seed, delays):
         """Sorting the sends for the kernel leaves each delay's RTTs in
         draw order: the reference kernel's on the unsorted sends."""
-        cfg = RttSamplerConfig(n_samples=n, seed=seed)
-        starts, ends, period, sends = _send_times(pattern, cfg)
+        cfg = RttSamplerConfig(n_samples=n, mean_fraction=0.25, seed=seed)
+        bounds, sends = _send_times(pattern, cfg)
         swept = sweep_rtt_samples(pattern, delays, cfg)
         for delay, rtts in zip(delays, swept, strict=True):
-            assert bits(rtts) == bits(reference_rtt_samples(starts, ends, sends, delay, period))
+            assert bits(rtts) == bits(reference(bounds, sends, delay))
 
 
 class TestAllocationProperties:

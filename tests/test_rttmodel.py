@@ -66,8 +66,7 @@ def kernel_rtt(schedule, vsta, send_ms, delay_ms):
     windows laid out from its pattern with the first at time 0, as
     ``sweep_rtt_samples`` lays them out."""
     bounds = np.concatenate(([0.0], np.cumsum(window_pattern(schedule, vsta))))
-    starts, ends = bounds[:-1:2], bounds[1::2]
-    (rtt,) = rtt_samples(starts, ends, np.array([send_ms]), delay_ms, schedule.period_ms)
+    (rtt,) = rtt_samples(bounds, np.array([send_ms]), delay_ms)
     return float(rtt)
 
 
@@ -124,7 +123,7 @@ class TestRttForSendTime:
 
 
 class TestSampleRtts:
-    CFG = RttSamplerConfig(n_samples=4000, seed=7)
+    CFG = RttSamplerConfig(n_samples=4000, mean_fraction=0.25, seed=7)
 
     def test_deterministic_per_seed(self, half_duty_schedule):
         key = window_pattern(half_duty_schedule, 1)
@@ -191,30 +190,32 @@ class TestSampleRtts:
                 return draws
 
         monkeypatch.setattr(np.random, "default_rng", Draws)
-        (rtts,) = sweep_rtt_samples(self.NINE_WINDOWS, (0.0,), RttSamplerConfig(n_samples=100))
+        cfg = RttSamplerConfig(n_samples=100, mean_fraction=0.25, seed=0)
+        (rtts,) = sweep_rtt_samples(self.NINE_WINDOWS, (0.0,), cfg)
         # at delay 0 a send inside a window is acknowledged at once
         assert rtts.tolist() == [0.0] * 100
 
-    def test_matches_scalar_model(self, case2_contiguous, connected_intervals):
+    def test_matches_scalar_model(self, case2_contiguous):
         """The vectorized kernel must agree with the scalar RTT function
-        on sends in the ascending order it takes them."""
+        on sends in the ascending order it takes them, on VSTA 3's windows
+        laid out from 0 as ``sweep_rtt_samples`` lays them out."""
         vsta, delay = 3, 37.0
-        intervals = connected_intervals(case2_contiguous, vsta)
+        bounds = np.concatenate(([0.0], np.cumsum(window_pattern(case2_contiguous, vsta))))
+        starts, ends = bounds[:-1:2], bounds[1::2]
+        intervals = list(zip(starts.tolist(), ends.tolist()))
         widths = [e - s for s, e in intervals]
         total = sum(widths)
         rng = np.random.default_rng(123)
         offsets = rng.exponential(0.25 * total, 200) % total
 
-        starts = np.array([s for s, _ in intervals])
-        ends = np.array([e for _, e in intervals])
         # each offset's window, and its wall-clock send time
         cum = np.concatenate(([0.0], np.cumsum(widths)))
         idx = np.searchsorted(cum[1:], offsets, side="right")
         sends = np.sort(starts[idx] + (offsets - cum[idx]))
-        got = rtt_samples(starts, ends, sends, delay, case2_contiguous.period_ms)
+        got = rtt_samples(bounds, sends, delay)
 
         for rtt, send in zip(got, sends):
-            expected = rtt_for_send_time(intervals, case2_contiguous.period_ms, float(send), delay)
+            expected = rtt_for_send_time(intervals, float(bounds[-1]), float(send), delay)
             assert rtt == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("vsta", (1, 2))
@@ -254,7 +255,7 @@ class TestMathisThroughput:
     def test_loss_rate_validity_window(self):
         for loss_rate in (0.02, 0.0):
             with pytest.raises(ValueError, match="loss_rate must be in"):
-                PathParams(delay_ms=0.0, loss_rate=loss_rate)
+                PathParams(delay_ms=0.0, loss_rate=loss_rate, mss_bytes=1460)
 
     def test_nonpositive_rtt_rejected(self):
         """A nonpositive RTT never enters the Reno expression.
@@ -269,23 +270,18 @@ class TestMathisThroughput:
 
 
 class TestPathParams:
-    def test_defaults(self):
-        path = PathParams(delay_ms=20.0)
-        assert path.loss_rate == 0.0032
-        assert path.mss_bytes == 1460
-
     def test_invalid_loss(self):
         with pytest.raises(ValueError, match="loss_rate"):
-            PathParams(delay_ms=20.0, loss_rate=0.5)
+            PathParams(delay_ms=20.0, loss_rate=0.5, mss_bytes=1460)
 
     def test_negative_delay(self):
         with pytest.raises(ValueError):
-            PathParams(delay_ms=-1.0)
+            PathParams(delay_ms=-1.0, loss_rate=0.0032, mss_bytes=1460)
 
     @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
     def test_invalid_delay(self, delay):
         with pytest.raises(ValueError, match="path delay must be finite and >= 0"):
-            PathParams(delay_ms=delay)
+            PathParams(delay_ms=delay, loss_rate=0.0032, mss_bytes=1460)
 
 
 class TestVstaThroughput:
@@ -296,14 +292,14 @@ class TestVstaThroughput:
     def test_zero_rtt_is_unbounded(self):
         """A nonpositive mean RTT maps to infinite throughput, not an error."""
         for rtt in (0.0, -1.0):
-            assert vsta_throughput(PathParams(delay_ms=0.0), rtt) == math.inf
+            assert vsta_throughput(TestMathisThroughput.PATH, rtt) == math.inf
 
 
 class TestAggregateThroughput:
-    CFG = RttSamplerConfig(n_samples=2000, seed=11)
+    CFG = RttSamplerConfig(n_samples=2000, mean_fraction=0.25, seed=11)
 
     def test_deterministic(self, half_duty_schedule, aggregate):
-        paths = [PathParams(delay_ms=40.0), PathParams(delay_ms=60.0)]
+        paths = [PathParams(d, 0.0032, 1460) for d in (40.0, 60.0)]
         delays = [[40.0], [60.0]]
         a = aggregate(ThroughputEvaluator(self.CFG, delays), half_duty_schedule, paths)
         b = aggregate(ThroughputEvaluator(self.CFG, delays), half_duty_schedule, paths)
@@ -315,7 +311,7 @@ class TestAggregateThroughput:
 
 
 class TestThroughputEvaluator:
-    CFG = RttSamplerConfig(n_samples=2000, seed=11)
+    CFG = RttSamplerConfig(n_samples=2000, mean_fraction=0.25, seed=11)
 
     def test_matches_direct_sampling(self, case2_contiguous):
         evaluator = ThroughputEvaluator(self.CFG, [[35.0]] * 3)
@@ -327,7 +323,7 @@ class TestThroughputEvaluator:
 
     def test_aggregate_matches_direct(self, case2_contiguous, aggregate):
         evaluator = ThroughputEvaluator(self.CFG, [[20.0], [40.0], [60.0]])
-        paths = [PathParams(delay_ms=d) for d in (20.0, 40.0, 60.0)]
+        paths = [PathParams(d, 0.0032, 1460) for d in (20.0, 40.0, 60.0)]
         direct = 0.0
         for vsta, path in enumerate(paths, start=1):
             per_vsta = replace(self.CFG, seed=vsta_seed(self.CFG.seed, vsta))
@@ -383,5 +379,5 @@ class TestThroughputEvaluator:
         plan = derive_slot_plan(DutyCycleSet([1.0]), 15.0)
         sched = build_contiguous_schedule(plan)
         evaluator = ThroughputEvaluator(self.CFG, [[0.0]])
-        path = PathParams(delay_ms=0.0)
+        path = PathParams(delay_ms=0.0, loss_rate=0.0032, mss_bytes=1460)
         assert vsta_throughput(path, evaluator.mean_rtt(sched, 1, 0.0)) == math.inf

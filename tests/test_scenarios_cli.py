@@ -12,6 +12,7 @@ from minislot.cli import main
 from minislot.rttmodel import ThroughputEvaluator
 from minislot.scenarios import (
     CSV_HEADER,
+    DEFAULT_LOSS_RATE,
     ConfigError,
     builtin_configs,
     builtin_scenarios,
@@ -205,7 +206,7 @@ class TestScenarioFromConfig:
         scenario = scenario_from_config(dict(SMALL_CONFIG, **lists))
         # SMALL_CONFIG's first delay is 10 ms
         assert [(path.delay_ms, path.loss_rate) for path in scenario.paths[0]] == (
-            [(10.0, rttmodel.DEFAULT_LOSS_RATE)] * 2
+            [(10.0, DEFAULT_LOSS_RATE)] * 2
         )
 
     @pytest.mark.parametrize(
@@ -244,7 +245,7 @@ CONFIG_VALUES = {
     "algorithms": st.lists(st.sampled_from(["nopolicy", "minmax", "eq1", "x"]), max_size=3)
     | JSON_VALUES,
 }
-REQUIRED = ("duty_cycles", "slot_time_ms", "delays_ms")
+REQUIRED = ("duty_cycles", "slot_time_ms", "delays_ms", "name")
 CONFIGS = (
     st.fixed_dictionaries(
         {k: CONFIG_VALUES[k] for k in REQUIRED},
@@ -522,6 +523,17 @@ class TestCli:
         assert main(["--scenario", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(tmp_path) in err
+
+    def test_directory_named_like_a_builtin_runs_the_builtin(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Only a file is a scenario file, so a directory ``case1`` in the
+        working directory leaves ``--scenario case1`` the built-in."""
+        (tmp_path / "case1").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["--scenario", "case1", "--samples", "10", "--algorithms", "nopolicy"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"case1"}
 
     @pytest.mark.parametrize("flag", ["--out", "--dump-schedules"])
     def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys, flag):
