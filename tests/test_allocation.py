@@ -153,10 +153,11 @@ class TestEnumeration:
         assert owners[0] == (1, 1, 1, 1, 2, 3, 3, 3)
 
     def test_budget_enforced_before_enumeration(self, ten_tenths_plan, monkeypatch):
-        def no_rows(counts):
+        def no_rows(plan, count):
             raise AssertionError("a row was enumerated past the budget")
 
-        monkeypatch.setattr(allocation, "_multiset_permutations", no_rows)
+        # the build's first step allocates the owner-vector rows
+        monkeypatch.setattr(allocation, "_owner_vectors", no_rows)
         with pytest.raises(EnumerationBudgetError) as exc_info:
             SearchTable(ten_tenths_plan)
         assert exc_info.value.count == 3_628_800
@@ -412,6 +413,26 @@ class TestSearchTable:
         with pytest.raises(EnumerationBudgetError) as exc_info:
             SearchTable(ten_tenths_plan)
         assert exc_info.value.count == 3_628_800
+
+    def test_start_times_past_int64(self):
+        """Slot start times whose exact unit sums pass 2**63 are read as
+        ``SlotSchedule`` reads them."""
+        plan = derive_slot_plan(DutyCycleSet([2999 / 3000, 1 / 3000]), 13.7)
+        units, _ = plan.slot_units
+        assert plan.slot_counts == (2999, 1)
+        assert plan.slot_sizes_ms[0] != plan.slot_sizes_ms[1]
+        # the last slot of VSTA 1 starts past 2**63 units
+        assert (plan.slot_counts[0] - 1) * units[0] > 2**63
+        table = SearchTable(plan)
+        assert table.count == 3000
+        for s in (0, 1, 2, 1500, 2997, 2998, 2999, 977, 2024):
+            schedule = SlotSchedule.from_owners(plan, table.owners[s])
+            # VSTA 2's slot moves one slot earlier per row
+            assert schedule.owners.index(2) == 2999 - s
+            patterns = tuple(keys[i] for keys, i in zip(table.keys, table.pattern[s]))
+            assert patterns == schedule.window_patterns
+        for v in range(plan.n_vstas):
+            assert len(set(table.keys[v])) == len(table.keys[v])
 
 
 class TestTableSearchMatchesBruteForce:

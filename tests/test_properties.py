@@ -20,6 +20,7 @@ from minislot.allocation import (
     blind_allocate,
     eq2_objective,
     minmax_allocate,
+    schedule_count,
 )
 from minislot.rttmodel import (
     MAX_LOSS_RATE,
@@ -152,6 +153,61 @@ def reference_minmax_owners(plan):
             chosen = _minmax_pick(free, plan.slot_counts[vsta - 1], total)
             owner_of.update(dict.fromkeys(chosen, vsta))
     return tuple(owner_of.get(p, order[-1]) for p in range(1, total + 1))
+
+
+def reference_multiset_permutations(first):
+    """Every permutation of the ascending vector ``first``, in lexicographic order."""
+    arr = list(first)
+    n = len(arr)
+    while True:
+        yield tuple(arr)
+        i = n - 2
+        while i >= 0 and arr[i] >= arr[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1:] = reversed(arr[i + 1:])
+
+
+def reference_search_table(plan):
+    """``SearchTable``'s ``owners``, ``pattern`` and ``keys`` as first built:
+    row by row, one ``SlotSchedule`` and one scan of its windows per row."""
+    count = schedule_count(plan)
+    n = plan.n_vstas
+    owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
+    pattern = np.empty((count, n), np.int32)
+    interned = [{} for _ in range(n)]
+    for s, row in enumerate(reference_multiset_permutations(plan.contiguous_owners)):
+        owners[s] = row
+        pattern[s] = [
+            ids.setdefault(key, len(ids))
+            for ids, key in zip(interned, SlotSchedule(plan, row).window_patterns)
+        ]
+    return owners, pattern, [list(ids) for ids in interned]
+
+
+@st.composite
+def search_plans(draw):
+    """A plan derived from random duty cycles and slot time, of at most
+    630 owner vectors.
+
+    The slot sizes of its VSTAs are mostly unequal and not round, and
+    every VSTA with two or more slots owns the first and the last slot
+    in some rows, so that its last window runs across the period boundary.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    # a VSTA gets floor(weight / least weight) slots
+    most = {1: 1.0, 2: 9.99, 3: 4.99, 4: 2.99, 5: 1.99}[n]
+    weights = draw(st.lists(
+        st.floats(min_value=1.0, max_value=most), min_size=n, max_size=n
+    ))
+    duty = DutyCycleSet([w / math.fsum(weights) for w in weights])
+    slot_time = draw(st.floats(min_value=MIN_SLOT_TIME_MS, max_value=1e4))
+    return derive_slot_plan(duty, slot_time)
 
 
 def reference_rtt_samples(starts, ends, sends, delay, period):
@@ -494,6 +550,22 @@ class TestAllocationProperties:
         best = blind_allocate(SearchTable(plan), "eq2").objective_value
         assert best >= eq2_objective(minmax_allocate(plan).schedule) - 1e-12
         assert best >= eq2_objective(build_contiguous_schedule(plan)) - 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(search_plans(), st.integers(min_value=1, max_value=64) | st.just(allocation._BLOCK))
+    @example(derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0), allocation._BLOCK)
+    @example(derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5), 5)
+    def test_search_table_matches_reference(self, plan, block):
+        """The array build gives the row-by-row build's owners, pattern
+        ids and keys, in blocks of any size."""
+        owners, pattern, keys = reference_search_table(plan)
+        with mock.patch.object(allocation, "_BLOCK", block):
+            table = SearchTable(plan)
+        assert table.owners.dtype == owners.dtype
+        assert np.array_equal(table.owners, owners)
+        assert table.pattern.dtype == np.int32
+        assert np.array_equal(table.pattern, pattern)
+        assert repr(table.keys) == repr(keys)  # which also tells -0.0 from 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(free_positions())

@@ -14,6 +14,7 @@ from minislot.scenarios import (
     CSV_HEADER,
     DEFAULT_LOSS_RATE,
     ConfigError,
+    Scenario,
     builtin_configs,
     builtin_scenarios,
     emit_csv,
@@ -246,6 +247,33 @@ CONFIG_VALUES = {
     | JSON_VALUES,
 }
 REQUIRED = ("duty_cycles", "slot_time_ms", "delays_ms", "name")
+
+
+def perturbed(key):
+    """``SMALL_CONFIG`` with ``key`` given a drawn value, or left out."""
+    return CONFIG_VALUES[key].map(lambda value: {**SMALL_CONFIG, key: value}) | st.just(
+        {k: v for k, v in SMALL_CONFIG.items() if k != key}
+    )
+
+
+# a valid config with one key changed, so that the checks after the
+# parsers run and some configs pass them
+PERTURBED = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(perturbed)
+# per key of a scenario file: a value that keeps SMALL_CONFIG valid, and
+# one that breaks it
+ONE_KEY_CHANGES = {
+    "name": ("renamed", "a,b"),
+    "duty_cycles": ([0.25, 0.75], [0.5, 0.4]),
+    "slot_time_ms": (12.5, 1e-4),
+    "delays_ms": ({"start": 0, "stop": 30, "step": 10}, [10.0, 10.0]),
+    "delay_offsets_ms": ([0.0, 5.0], [0.0]),
+    "loss_rate": ([0.001, 0.002], [0.001]),
+    "mss_bytes": (536, 0),
+    "n_samples": (100, 0),
+    "mean_fraction": (0.5, 2.0),
+    "seed": (7, -1),
+    "algorithms": (["eq2"], ["eq1", "eq1"]),
+}
 CONFIGS = (
     st.fixed_dictionaries(
         {k: CONFIG_VALUES[k] for k in REQUIRED},
@@ -253,6 +281,7 @@ CONFIGS = (
     )
     | st.fixed_dictionaries({}, optional=CONFIG_VALUES)
     | st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4)
+    | PERTURBED
 )
 
 
@@ -264,7 +293,17 @@ class TestScenarioFromConfigFuzz:
             scenario = scenario_from_config(config)
         except ConfigError:
             return
+        assert isinstance(scenario, Scenario)
         derive_slot_plan(scenario.duty_cycles, scenario.slot_time_ms)
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_VALUES))
+    def test_one_key_keeps_or_breaks_a_valid_config(self, key):
+        """Changing one key of a valid config can keep it valid, and can
+        break it with an error that names the key."""
+        keeps, breaks = ONE_KEY_CHANGES[key]
+        assert isinstance(scenario_from_config({**SMALL_CONFIG, key: keeps}), Scenario)
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_config({**SMALL_CONFIG, key: breaks})
 
 
 class TestBuiltinScenarios:
