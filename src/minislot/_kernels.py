@@ -1,4 +1,4 @@
-"""Hot RTT-sampling kernel, in numpy, run once per delay of a sweep."""
+"""Hot RTT-sampling kernel, in numpy, run once per delay of a sweep into arrays its caller owns."""
 from __future__ import annotations
 
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 
-def rtt_samples(bounds, sends, delay: float) -> np.ndarray:
+def rtt_samples(bounds, sends, delay: float, acks: np.ndarray, rtts: np.ndarray) -> np.ndarray:
     """RTT of each wall-clock send time in the ascending ``sends``, in ms.
 
     ``bounds`` is a VSTA's window layout from ``rttmodel._send_times``:
@@ -17,6 +17,11 @@ def rtt_samples(bounds, sends, delay: float) -> np.ndarray:
     window opens.  ``sends`` and ``delay`` are >= 0, and ``sends`` must
     ascend.
 
+    The caller owns the working arrays: ``acks`` and ``rtts`` are float64
+    arrays of the length of ``sends``, whatever they held is overwritten,
+    and the RTTs are written into ``rtts``, which is returned.  A sweep
+    passes the same two for each of its delays (``rttmodel.sweep_rtt_samples``).
+
     Ascending sends give ascending acks, which fall into runs of whole
     periods ``k``.  Within a run the ack phases ascend too, so each
     window and each gap holds one slice of them: a window's acks get
@@ -26,8 +31,8 @@ def rtt_samples(bounds, sends, delay: float) -> np.ndarray:
     equals ``fmod(ack, period)`` bit for bit.
     """
     delay, period = float(delay), float(bounds[-1])
-    acks = sends + delay
-    rtts = np.full(acks.shape, delay + 0.0)
+    np.add(sends, delay, out=acks)
+    rtts.fill(delay + 0.0)
     num, den = period.as_integer_ratio()
     first, last = (_periods_below(float(ack), num, den) for ack in (acks[0], acks[-1]))
     # run k holds the acks >= k * period: those >= the least double >= it

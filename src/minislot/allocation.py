@@ -81,7 +81,9 @@ class SearchTable:
     * ``owners[s]`` -- owner vector ``s`` (1-based VSTA per slot);
     * ``pattern[s, v - 1]`` -- id of VSTA ``v``'s window pattern, where
       ``keys[v - 1][id]`` is its ``window_pattern``.  Ids are numbered
-      in the order the rows first show the patterns.
+      in the order the rows first show the patterns;
+    * ``gaps[v - 1][id]`` -- the ``worst_gap`` of ``keys[v - 1][id]``,
+      which both blind objectives read at every delay.
     """
 
     def __init__(self, plan: SlotPlan):
@@ -97,6 +99,7 @@ class SearchTable:
         for s in range(0, count, rows):
             self.pattern[s:s + rows] = _pattern_ids(plan, self.owners[s:s + rows], interned)
         self.keys = [list(ids) for ids in interned]
+        self.gaps = [[worst_gap(key) for key in keys] for keys in self.keys]
 
     def schedule(self, s: int) -> SlotSchedule:
         """The ``SlotSchedule`` of row ``s``."""
@@ -337,17 +340,14 @@ def blind_allocate(
     in ``SearchTable`` order.
     """
     if objective == "eq2":
-        values = [[_eq2_term(worst_gap(key)) for key in keys] for keys in table.keys]
+        values = [[_eq2_term(gap) for gap in gaps] for gaps in table.gaps]
         return _best_row(table, values, np.argmax)
     if objective != "eq1":
         raise ValueError(f"objective must be 'eq1' or 'eq2', got {objective!r}")
     if paths is None:
         raise ValueError("objective 'eq1' requires per-VSTA path parameters")
     _check_path_count(table.plan.n_vstas, paths)
-    values = [
-        [_eq1_term(path, worst_gap(key)) for key in keys]
-        for keys, path in zip(table.keys, paths)
-    ]
+    values = [[_eq1_term(path, gap) for gap in gaps] for gaps, path in zip(table.gaps, paths)]
     return _best_row(table, values, np.argmin)
 
 

@@ -7,8 +7,10 @@ after each reconnection (``RttSamplerConfig``).  Anchoring sends at
 reconnections, not at the period's origin, makes the sampled mean RTT of
 a rotated schedule differ only by sampling noise.  One draw of send
 times, sorted once for the kernel, serves every delay of a sweep
-(``sweep_rtt_samples``).  Throughput follows from the mean RTT
-(``vsta_throughput``).
+(``sweep_rtt_samples``).  The draw owns the kernel's working arrays,
+allocated once, and every delay writes into them, so an array of RTTs
+it yields lasts only until the next delay.  Throughput follows from the
+mean RTT (``vsta_throughput``).
 """
 from __future__ import annotations
 
@@ -25,8 +27,11 @@ from .schedule import SlotSchedule, window_pattern
 MAX_LOSS_RATE = 0.02
 #: the largest MSS the 16-bit TCP MSS option carries
 MAX_MSS_BYTES = 65_535
-#: most RTT samples per (VSTA, delay).  A draw holds several float64
-#: arrays of this length at once, so far larger counts would exhaust memory.
+#: most RTT samples per (VSTA, delay).  A draw holds at most five arrays of
+#: this length, of 8-byte entries, at once, however many delays it serves:
+#: while it draws, and then through its sweep the ascending sends, their
+#: draw-order ranks, the kernel's acks and RTTs, and the RTTs in draw
+#: order.  So far larger counts would exhaust memory.
 MAX_N_SAMPLES = 1_000_000
 
 
@@ -106,9 +111,14 @@ def sample_rtts(
 
     The package draws send times only here: one draw serves every delay,
     and each mean is, bit for bit, that of a one-delay call with the same seed.
+    Each mean is computed as ``ndarray.mean`` computes it, numpy's
+    pairwise ``add.reduce`` divided by ``n``, without its wrapper's cost.
     """
-    means = tuple(float(rtts.mean()) for rtts in sweep_rtt_samples(pattern, delays_ms, cfg))
-    return RttStats(means_ms=means, n=cfg.n_samples)
+    n = cfg.n_samples
+    means = tuple(
+        float(np.add.reduce(rtts) / n) for rtts in sweep_rtt_samples(pattern, delays_ms, cfg)
+    )
+    return RttStats(means_ms=means, n=n)
 
 
 def sweep_rtt_samples(
@@ -123,14 +133,23 @@ def sweep_rtt_samples(
     adds the same floats in the same order as over unsorted sends, and
     keeps its bits; the sort may order equal sends either way, as their
     RTTs are equal too.
+
+    The draw allocates its working arrays once, and every delay writes
+    into them: the array yielded for one delay is overwritten by the
+    next, so a caller that keeps one must copy it.
     """
     bounds, sends = _send_times(pattern, cfg)
     order = sends.argsort()
     ascending = sends[order]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
+    del order
+    # the unsorted sends are spent: their array takes the kernel's acks
+    acks, rtts, drawn = sends, np.empty_like(sends), np.empty_like(sends)
     for delay in delays_ms:
-        yield rtt_samples(bounds, ascending, delay).take(rank)
+        rtt_samples(bounds, ascending, delay, acks, rtts)
+        # mode="raise" would gather into a temporary and copy it to ``drawn``
+        yield rtts.take(rank, out=drawn, mode="clip")
 
 
 def _send_times(pattern: tuple, cfg: RttSamplerConfig):

@@ -405,6 +405,7 @@ class TestSearchTable:
             for v in range(1, plan.n_vstas + 1):
                 pid = table.pattern[s, v - 1]
                 assert table.keys[v - 1][pid] == window_pattern(schedule, v)
+                assert table.gaps[v - 1][pid] == max_disconnection(schedule, v)
         for v in range(plan.n_vstas):
             # distinct ids have distinct keys
             assert len(set(table.keys[v])) == len(table.keys[v])

@@ -274,6 +274,34 @@ def kernel_cases(draw):
     return bounds, np.sort(np.array(sends + [0.0])), delay
 
 
+@st.composite
+def stale_buffer_sweeps(draw):
+    """A window pattern, a sampler config and a sweep of delays that falls
+    and rises and repeats one delay.  It mixes 0, delays below the period
+    and delays of 1, 2 or many periods, so a delay's acks fall in one or
+    two runs, numbered 0 to about 10**6, and each delay finds the buffers
+    as a delay of very different runs left them."""
+    pattern = draw(window_patterns())
+    cfg = RttSamplerConfig(
+        n_samples=draw(st.integers(min_value=1, max_value=400)),
+        mean_fraction=0.25,
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    period = float(_send_times(pattern, cfg)[0][-1])
+    fraction = st.floats(0.001, 0.999)
+    below = fraction.map(lambda f: f * period)
+    periods = st.builds(
+        lambda k, f: k * period + f * period,
+        st.sampled_from([1, 2]) | st.integers(min_value=3, max_value=10**6),
+        st.just(0.0) | fraction,
+    )
+    # below, then 0, then some periods: the sweep falls, then rises
+    delays = [draw(below), 0.0, draw(periods)]
+    delays += draw(st.lists(st.just(0.0) | below | periods, max_size=4))
+    delays.insert(draw(st.integers(0, len(delays))), draw(st.sampled_from(delays)))
+    return pattern, cfg, delays
+
+
 def slot_walk_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
     """Disconnection costs summed slot by slot, not read from the window pattern.
 
@@ -513,7 +541,7 @@ class TestKernelProperties:
         """On ascending sends the kernel gives the reference's floats
         exactly: its phases are ``fmod``'s and its waits round alike."""
         bounds, sends, delay = case
-        got = rtt_samples(bounds, sends, delay)
+        got = rtt_samples(bounds, sends, delay, np.empty_like(sends), np.empty_like(sends))
         assert bits(got) == bits(reference(bounds, sends, delay))
 
     @settings(max_examples=300, deadline=None)
@@ -539,6 +567,30 @@ class TestKernelProperties:
         swept = sweep_rtt_samples(pattern, delays, cfg)
         for delay, rtts in zip(delays, swept, strict=True):
             assert bits(rtts) == bits(reference(bounds, sends, delay))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(stale_buffer_sweeps())
+    def test_sweep_buffers_keep_no_stale_values(self, case):
+        """A sweep's working arrays carry nothing from one delay to the
+        next: each delay's RTTs, copied before the next, are the reference
+        kernel's on the unsorted sends, and each mean is their mean."""
+        pattern, cfg, delays = case
+        bounds, sends = _send_times(pattern, cfg)
+        expected = [reference(bounds, sends, delay) for delay in delays]
+        swept = [rtts.copy() for rtts in sweep_rtt_samples(pattern, delays, cfg)]
+        assert [bits(rtts) for rtts in swept] == [bits(rtts) for rtts in expected]
+        means = sample_rtts(pattern, delays, cfg).means_ms
+        assert bits(means) == bits([float(rtts.mean()) for rtts in expected])
+
+        ascending = np.sort(sends)
+        acks, rtts = np.full_like(sends, np.nan), np.full_like(sends, np.nan)
+        for delay in delays:
+            fresh = rtt_samples(
+                bounds, ascending, delay, np.empty_like(sends), np.empty_like(sends)
+            )
+            assert rtt_samples(bounds, ascending, delay, acks, rtts) is rtts
+            assert bits(rtts) == bits(fresh)
 
 
 class TestAllocationProperties:

@@ -66,7 +66,7 @@ def kernel_rtt(schedule, vsta, send_ms, delay_ms):
     windows laid out from its pattern with the first at time 0, as
     ``sweep_rtt_samples`` lays them out."""
     bounds = np.concatenate(([0.0], np.cumsum(window_pattern(schedule, vsta))))
-    (rtt,) = rtt_samples(bounds, np.array([send_ms]), delay_ms)
+    (rtt,) = rtt_samples(bounds, np.array([send_ms]), delay_ms, np.empty(1), np.empty(1))
     return float(rtt)
 
 
@@ -212,7 +212,7 @@ class TestSampleRtts:
         cum = np.concatenate(([0.0], np.cumsum(widths)))
         idx = np.searchsorted(cum[1:], offsets, side="right")
         sends = np.sort(starts[idx] + (offsets - cum[idx]))
-        got = rtt_samples(bounds, sends, delay)
+        got = rtt_samples(bounds, sends, delay, np.empty_like(sends), np.empty_like(sends))
 
         for rtt, send in zip(got, sends):
             expected = rtt_for_send_time(intervals, float(bounds[-1]), float(send), delay)
