@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import sys
 import time
 from dataclasses import replace
@@ -26,7 +25,7 @@ SAMPLE_COUNTS = (10_000, 50_000)
 SCENARIOS = ("case1", "case2", "case3", "fig5")
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from search_table import cpu_model  # noqa: E402
+from search_table import machine  # noqa: E402
 
 
 def draws() -> list[tuple[tuple, tuple, object]]:
@@ -91,17 +90,9 @@ def measure(n: int, found: list) -> dict:
 
 
 def main() -> None:
-    import numpy
-
     found = draws()
     print(json.dumps({
-        "machine": {
-            "cpu": cpu_model(),
-            "cpus": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "kernel": platform.release(),
-        },
+        "machine": machine(),
         "samples": {str(n): measure(n, found) for n in SAMPLE_COUNTS},
     }, indent=2))
 

@@ -149,7 +149,9 @@ def _pattern_ids(
     each distinct pattern.
     """
     n = plan.n_vstas
-    windows, at, rounded = row_windows(plan, owners)
+    times, strides = plan.start_table
+    steps = strides[owners]
+    windows, at, rounded = row_windows(plan, owners, times[np.cumsum(steps, axis=1) - steps])
     w = len(at) // 2
     heads = np.cumsum(windows) - windows
     # one row per group: the VSTA, then each window's length and gap as

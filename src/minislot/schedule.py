@@ -219,47 +219,26 @@ class SlotSchedule:
 
     @cached_property
     def window_patterns(self) -> tuple[tuple, ...]:
-        """Every VSTA's ``window_pattern``, by VSTA index, from one scan of the slots.
+        """Every VSTA's ``window_pattern``, by VSTA index: ``row_windows`` of this one row.
 
-        A VSTA's windows are its runs of consecutive owned slots, in one
-        period from time 0: a run ends where the next slot has another
-        owner, with no time tolerance.  A VSTA that owns the first and the
-        last slot gets a last gap of exactly 0 (see ``MAX_PERIOD_MS``).
-        ``row_windows`` makes the same float operations on many owner
-        vectors at once; ``tests/test_properties.py``'s
-        ``test_search_table_matches_reference`` holds the two equal.
         Built on first read and kept in the instance ``__dict__``, so it
         takes no part in equality or hashing.
         """
-        # starts[v - 1], ends[v - 1]: where VSTA v's windows so far begin and end
-        starts: list[list[float]] = [[] for _ in range(self.n_vstas)]
-        ends: list[list[float]] = [[] for _ in range(self.n_vstas)]
-        previous = 0  # no VSTA owns the slot before the first
-        for owner, start, duration in zip(self.owners, self.start_times_ms, self.durations_ms):
-            if owner == previous:
-                ends[owner - 1][-1] = start + duration
-            else:
-                starts[owner - 1].append(start)
-                ends[owner - 1].append(start + duration)
-                previous = owner
-        period = self.period_ms
-        patterns = []
-        for own_starts, own_ends in zip(starts, ends):
-            nexts = own_starts[1:] + [period + own_starts[0]]
-            # a tuple of a list, not of a generator: that one grows by
-            # resizing and, freed, fills the tuple free lists (0.3 MiB of RSS)
-            patterns.append(tuple([
-                (round(end - start, 9), round(nxt - end, 9))
-                for start, end, nxt in zip(own_starts, own_ends, nexts)
-            ]))
-        return tuple(patterns)
+        windows, at, values = row_windows(
+            self.plan, np.array([self.owners]), np.array([self.start_times_ms])
+        )
+        rounded = [values[i] for i in at.tolist()]
+        w = len(rounded) // 2
+        pairs = list(zip(rounded[:w], rounded[w:]))
+        ends = np.cumsum(windows).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def row_windows(
-    plan: SlotPlan, owners: np.ndarray
+    plan: SlotPlan, owners: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """The windows of the owner vectors ``owners``, one per row, as
-    ``SlotSchedule.window_patterns`` reads them.
+    """The windows of the owner vectors ``owners``, one per row, whose
+    slots start at ``times`` (of ``owners``' shape).
 
     Returns ``(windows, at, values)``.  ``windows`` holds each (row, VSTA)'s
     window count, by row and then by VSTA; every VSTA has a window in
@@ -267,33 +246,29 @@ def row_windows(
     order, and window ``i`` has length ``values[at[i]]`` and gap to the
     next window ``values[at[w + i]]``.
 
-    These are ``window_patterns``' own float operations, made once per
-    block: a window runs over a VSTA's consecutive slots, from the first
-    slot's start to the last slot's start plus the slot size; the last
-    window's next start is the period plus the first window's start, and
-    a window never runs on from the last slot into the first; Python's
-    ``round(x, 9)`` is applied once to each distinct difference.
-    ``tests/test_properties.py``'s ``test_search_table_matches_reference``
-    holds the two equal.  On one schedule it costs more than the
-    ``window_patterns`` scan (46 against 18 us for a case1 schedule on a
-    2-core Xeon), so that scan stays.
+    A window is a run of one VSTA's consecutive slots, in one period from
+    time 0: it opens where the previous slot has another owner and closes
+    before the next such slot, with no time tolerance, and it never runs
+    on from the last slot into the first.  It lasts from its first slot's
+    start to its last slot's start plus the slot size; the last window's
+    next start is the period plus the first window's start, so a VSTA
+    that owns the first and the last slot gets a last gap of exactly 0
+    (see ``MAX_PERIOD_MS``).  Python's ``round(x, 9)`` is applied once to
+    each distinct difference.
     """
     n = plan.n_vstas
-    times, strides = plan.start_table
-    steps = strides[owners]
-    times = times[np.cumsum(steps, axis=1) - steps]
-    # mine[r, j, v]: VSTA v owns slot j - 1 of row r, and no VSTA owns the
-    # slots before the first and after the last.  Each of VSTA v's
-    # windows turns it on at its first slot and off after its last.
-    padded = np.zeros((len(owners), owners.shape[1] + 2), owners.dtype)
-    padded[:, 1:-1] = owners
-    mine = np.eye(n + 1, dtype=bool)[padded]
-    turns = (mine[:, 1:] ^ mine[:, :-1]).transpose(0, 2, 1)[:, 1:]
-    row, vsta, slot = np.nonzero(turns)
-    row, vsta, first, last = row[::2], vsta[::2], slot[::2], slot[1::2] - 1
+    opens = np.ones(owners.shape, bool)
+    opens[:, 1:] = owners[:, 1:] != owners[:, :-1]
+    closes = np.ones(owners.shape, bool)
+    closes[:, :-1] = opens[:, 1:]
+    row, first = np.nonzero(opens)
+    last = np.nonzero(closes)[1]
+    group = row * n + (owners[row, first] - 1)
+    order = np.argsort(group, kind="stable")
+    row, first, last, group = row[order], first[order], last[order], group[order]
     start = times[row, first]
-    end = times[row, last] + np.array(plan.slot_sizes_ms)[vsta]
-    windows = np.bincount(row * n + vsta)
+    end = times[row, last] + np.array(plan.slot_sizes_ms)[group % n]
+    windows = np.bincount(group)
     ends = np.cumsum(windows)
     nxt = np.empty_like(start)
     nxt[:-1] = start[1:]

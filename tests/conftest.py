@@ -58,6 +58,15 @@ def _connected_intervals(schedule, vsta):
     return intervals
 
 
+def _reference_pattern(intervals, period):
+    """``window_pattern`` of the [start, end) ``intervals`` of one period."""
+    nexts = [start for start, _ in intervals[1:]] + [period + intervals[0][0]]
+    return tuple(
+        (round(end - start, 9), round(nxt - end, 9))
+        for (start, end), nxt in zip(intervals, nexts)
+    )
+
+
 @pytest.fixture
 def aggregate():
     """``aggregate(evaluator, schedule, paths)``: a schedule's aggregate throughput."""
@@ -80,3 +89,9 @@ def rotated():
 def connected_intervals():
     """``connected_intervals(schedule, vsta)``: the reference scan of one VSTA's windows."""
     return _connected_intervals
+
+
+@pytest.fixture(scope="session")
+def reference_pattern():
+    """``reference_pattern(intervals, period)``: the window pattern of [start, end) intervals."""
+    return _reference_pattern

@@ -173,9 +173,10 @@ def reference_multiset_permutations(first):
         arr[i + 1:] = reversed(arr[i + 1:])
 
 
-def reference_search_table(plan):
+def reference_search_table(plan, connected_intervals, reference_pattern):
     """``SearchTable``'s ``owners``, ``pattern`` and ``keys`` as first built:
-    row by row, one ``SlotSchedule`` and one scan of its windows per row."""
+    row by row, one ``SlotSchedule`` per row and one reference scan of
+    each VSTA's windows."""
     count = schedule_count(plan)
     n = plan.n_vstas
     owners = np.empty((count, plan.total_slots), np.min_scalar_type(n))
@@ -183,9 +184,12 @@ def reference_search_table(plan):
     interned = [{} for _ in range(n)]
     for s, row in enumerate(reference_multiset_permutations(plan.contiguous_owners)):
         owners[s] = row
+        schedule = SlotSchedule(plan, row)
         pattern[s] = [
-            ids.setdefault(key, len(ids))
-            for ids, key in zip(interned, SlotSchedule(plan, row).window_patterns)
+            ids.setdefault(
+                reference_pattern(connected_intervals(schedule, vsta), plan.period_ms), len(ids)
+            )
+            for vsta, ids in enumerate(interned, start=1)
         ]
     return owners, pattern, [list(ids) for ids in interned]
 
@@ -321,15 +325,6 @@ def slot_walk_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
     return costs
 
 
-def reference_pattern(intervals, period):
-    """``window_pattern`` of the [start, end) ``intervals`` of one period."""
-    nexts = [start for start, _ in intervals[1:]] + [period + intervals[0][0]]
-    return tuple(
-        (round(end - start, 9), round(nxt - end, 9))
-        for (start, end), nxt in zip(intervals, nexts)
-    )
-
-
 def oracle_costs(schedule: SlotSchedule, vsta: int) -> list[float]:
     """Disconnection costs recomputed from slot boundary times.
 
@@ -388,7 +383,9 @@ class TestScheduleProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(sized_schedules(max_size=100.0))
-    def test_one_scan_matches_per_vsta_references(self, connected_intervals, schedule):
+    def test_one_scan_matches_per_vsta_references(
+        self, connected_intervals, reference_pattern, schedule
+    ):
         """``window_patterns`` is the per-VSTA reference scan, bit for bit,
         and the costs read from it are the slot-by-slot sums.
 
@@ -408,7 +405,7 @@ class TestScheduleProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(sized_schedules(max_size=MAX_PERIOD_MS / 160))
-    def test_windows_are_runs_of_owned_slots(self, connected_intervals, schedule):
+    def test_windows_are_runs_of_owned_slots(self, connected_intervals, reference_pattern, schedule):
         """Up to periods of ``MAX_PERIOD_MS`` (160 slots of up to 6,250 ms),
         windows that start where another owner's slot ends are the reference
         scan's windows, whose ends meet starts within ``TIME_TOLERANCE``,
@@ -607,10 +604,12 @@ class TestAllocationProperties:
     @given(search_plans(), st.integers(min_value=1, max_value=64) | st.just(allocation._BLOCK))
     @example(derive_slot_plan(DutyCycleSet([0.65, 0.25, 0.10]), 10.0), allocation._BLOCK)
     @example(derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5), 5)
-    def test_search_table_matches_reference(self, plan, block):
+    def test_search_table_matches_reference(
+        self, connected_intervals, reference_pattern, plan, block
+    ):
         """The array build gives the row-by-row build's owners, pattern
         ids and keys, in blocks of any size."""
-        owners, pattern, keys = reference_search_table(plan)
+        owners, pattern, keys = reference_search_table(plan, connected_intervals, reference_pattern)
         with mock.patch.object(allocation, "_BLOCK", block):
             table = SearchTable(plan)
         assert table.owners.dtype == owners.dtype

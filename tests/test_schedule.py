@@ -1,10 +1,13 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from minislot.allocation import minmax_allocate
 from minislot.schedule import (
     MAX_PERIOD_MS,
+    MAX_TOTAL_SLOTS,
     DutyCycleSet,
     SlotPlan,
     SlotSchedule,
@@ -215,3 +218,41 @@ class TestSlotScheduleValidation:
             assert sorted(disconnection_costs(rotated(worked_schedule, k), 1)) == pytest.approx(
                 base, abs=1e-9
             )
+
+
+class TestManyOneSlotVstas:
+    """Each of a thousand or more one-slot VSTAs has one window, its slot."""
+
+    @staticmethod
+    def one_window_patterns(schedule, reference_pattern):
+        slots = sorted(zip(schedule.owners, schedule.start_times_ms, schedule.durations_ms))
+        return tuple(
+            reference_pattern([(start, start + size)], schedule.period_ms)
+            for _, start, size in slots
+        )
+
+    def test_shuffled_unequal_slots(self, reference_pattern):
+        rng = random.Random(30)
+        # weights below twice the least give every VSTA one slot, of its own size
+        weights = [rng.uniform(1.0, 1.99) for _ in range(1_000)]
+        plan = derive_slot_plan(DutyCycleSet([w / math.fsum(weights) for w in weights]), 10.0)
+        assert plan.slot_counts == (1,) * 1_000
+        owners = list(plan.contiguous_owners)
+        rng.shuffle(owners)
+        schedule = SlotSchedule.from_owners(plan, owners)
+        assert schedule.window_patterns == self.one_window_patterns(schedule, reference_pattern)
+
+    def test_most_slots_nopolicy(self, reference_pattern):
+        """The nopolicy schedule of ``MAX_TOTAL_SLOTS`` VSTAs, in memory
+        linear in the slots: a VSTA-by-slot array would take 100 MB."""
+        plan = derive_slot_plan(DutyCycleSet([1 / MAX_TOTAL_SLOTS] * MAX_TOTAL_SLOTS), 1.0)
+        assert plan.slot_counts == (1,) * MAX_TOTAL_SLOTS
+        tracemalloc.start()
+        try:
+            schedule = build_contiguous_schedule(plan)
+            patterns = schedule.window_patterns
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert patterns == self.one_window_patterns(schedule, reference_pattern)
