@@ -1,12 +1,13 @@
 """Build time and peak memory of ``SearchTable`` on a fixed set of plans,
 and the time of one schedule's window patterns.
 
-Each plan is built ``REPEATS`` times in a fresh interpreter; the script
-prints, as JSON, the shortest build and the process's peak RSS for each,
-and the median time of ``SlotSchedule.window_patterns`` on a case1 row
-and on a schedule of 10,000 one-slot VSTAs, with the machine and the
-library versions.  Run from the repository root with the package on the
-path::
+Each plan is built in a fresh interpreter, ``REPEATS`` times and until
+its builds take ``MIN_BUILD_S`` in all; the script prints, as JSON, the
+shortest build and the process's peak RSS for each, and the median time
+of ``SlotSchedule.window_patterns`` on two case1 rows, one built fresh
+and one taken from the table, and on a schedule of 10,000 one-slot
+VSTAs, with the machine and the library versions.
+Run from the repository root with the package on the path::
 
     PYTHONPATH=src python3 benchmarks/search_table.py > out.json
 
@@ -23,9 +24,14 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
-#: builds per plan
+#: fewest builds per plan
 REPEATS = 5
+#: least total build time per plan, so that the shortest build of a
+#: plan that builds in milliseconds is taken over many, not over a
+#: moment of a busy machine
+MIN_BUILD_S = 1.0
 
 # name -> (duty cycles, slot time in ms)
 PLANS = {
@@ -42,12 +48,14 @@ PLANS = {
 #: reads of each schedule's window patterns
 READS = 101
 
-# name -> (duty cycles, slot time in ms, whether min-max places the slots)
-# of a schedule whose window patterns are timed: case1's min-max row, and
-# the nopolicy row of the most slots a plan may have
+# name -> (duty cycles, slot time in ms, allocator) of a schedule whose
+# window patterns are timed: case1's min-max row, built fresh, case1's
+# eq2 row, taken from its ``SearchTable``, and the nopolicy row of the
+# most slots a plan may have, built fresh
 SCHEDULES = {
-    "case1 minmax": (*PLANS["case1"], True),
-    "10000 x 1 nopolicy": ([1e-4] * 10_000, 1.0, False),
+    "case1 minmax": (*PLANS["case1"], "minmax"),
+    "case1 eq2 from table": (*PLANS["case1"], "eq2"),
+    "10000 x 1 nopolicy": ([1e-4] * 10_000, 1.0, "nopolicy"),
 }
 
 
@@ -56,14 +64,14 @@ def peak_rss_mib() -> float:
 
 
 def measure(name: str) -> dict:
-    """Build plan ``name``'s table ``REPEATS`` times in this interpreter."""
+    """Build plan ``name``'s table in this interpreter, as the module says."""
     from minislot.allocation import SearchTable
     from minislot.schedule import DutyCycleSet, derive_slot_plan
 
     duties, slot_time = PLANS[name]
     before = peak_rss_mib()
     times = []
-    for _ in range(REPEATS):
+    while len(times) < REPEATS or sum(times) < MIN_BUILD_S:
         # a new plan each time, so no build reuses what the plan keeps
         plan = derive_slot_plan(DutyCycleSet(duties), slot_time)
         start = time.perf_counter()
@@ -73,7 +81,7 @@ def measure(name: str) -> dict:
         "slot_counts": list(plan.slot_counts),
         "rows": rows,
         "build_s_min": min(times),
-        "builds": REPEATS,
+        "builds": len(times),
         "peak_rss_mib": round(peak_rss_mib(), 1),
         "peak_rss_mib_before_build": round(before, 1),
     }
@@ -81,15 +89,22 @@ def measure(name: str) -> dict:
 
 def window_patterns_s(name: str) -> float:
     """Median time of reading ``window_patterns`` on fresh copies of schedule ``name``."""
-    from minislot.allocation import minmax_allocate
+    from minislot.allocation import SearchTable, blind_allocate, minmax_allocate
     from minislot.schedule import DutyCycleSet, SlotSchedule, derive_slot_plan
 
-    duties, slot_time, minmax = SCHEDULES[name]
+    duties, slot_time, allocator = SCHEDULES[name]
     plan = derive_slot_plan(DutyCycleSet(duties), slot_time)
-    owners = minmax_allocate(plan).schedule.owners if minmax else plan.contiguous_owners
+    if allocator == "eq2":
+        table = SearchTable(plan)
+        owners = blind_allocate(table, "eq2").schedule.owners
+        build = partial(table.schedule, table.owners.tolist().index(list(owners)))
+    elif allocator == "minmax":
+        build = partial(SlotSchedule, plan, minmax_allocate(plan).schedule.owners)
+    else:
+        build = partial(SlotSchedule, plan, plan.contiguous_owners)
     times = []
     for _ in range(READS):
-        schedule = SlotSchedule(plan, owners)  # the patterns are kept once read
+        schedule = build()  # the patterns are kept once read
         start = time.perf_counter()
         schedule.window_patterns
         times.append(time.perf_counter() - start)

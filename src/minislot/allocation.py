@@ -102,8 +102,12 @@ class SearchTable:
         self.gaps = [[worst_gap(key) for key in keys] for keys in self.keys]
 
     def schedule(self, s: int) -> SlotSchedule:
-        """The ``SlotSchedule`` of row ``s``."""
-        return SlotSchedule.from_owners(self.plan, self.owners[s])
+        """The ``SlotSchedule`` of row ``s``, with the row's patterns as its ``window_patterns``."""
+        schedule = SlotSchedule.from_owners(self.plan, self.owners[s])
+        vars(schedule)["window_patterns"] = tuple(
+            keys[i] for keys, i in zip(self.keys, self.pattern[s].tolist())
+        )
+        return schedule
 
 
 def _owner_vectors(plan: SlotPlan, count: int) -> np.ndarray:
@@ -149,9 +153,7 @@ def _pattern_ids(
     each distinct pattern.
     """
     n = plan.n_vstas
-    times, strides = plan.start_table
-    steps = strides[owners]
-    windows, at, rounded = row_windows(plan, owners, times[np.cumsum(steps, axis=1) - steps])
+    windows, at, rounded = row_windows(plan, owners, plan.start_times(owners))
     w = len(at) // 2
     heads = np.cumsum(windows) - windows
     # one row per group: the VSTA, then each window's length and gap as

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,24 +120,19 @@ class SlotPlan:
         den = max(q for _, q in ratios)
         return tuple(p * (den // q) for p, q in ratios), den
 
-    @cached_property
-    def start_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start time of a slot by the slots of each VSTA before it, as ``SlotSchedule`` has it.
+    def start_times(self, owners: np.ndarray) -> np.ndarray:
+        """Start time in ms of each slot of ``owners``, an array of owner vectors, one per row.
 
-        Returns ``(times, strides)``: a slot after ``c[v]`` slots of each
-        VSTA ``v`` starts at ``times[sum(c[v] * strides[v])]``, the exact
-        integer sum of their units divided by ``den`` (``slot_units``);
-        ``strides[0]`` is 0, so an owner vector indexes ``strides``.  The
-        sums are Python integers, for they can pass 2**63, one per count
-        vector, not one per slot.  Built on first read and kept in the
-        instance ``__dict__``, so it takes no part in equality or hashing.
+        The package's one start-time rule: a slot starts at the exact
+        integer sum of the units (``slot_units``) of the slots before it,
+        rounded once to a float and divided by ``den``, a power of two,
+        which is exact.  Every sum is below a row's total of units, so the
+        sums are int64 while that fits and Python integers beyond.
         """
         units, den = self.slot_units
-        sums = [0]
-        for u, g in zip(units, self.slot_counts):
-            sums = [s + c * u for s in sums for c in range(g + 1)]
-        strides = np.cumprod([1, *(g + 1 for g in self.slot_counts[:0:-1])])[::-1]
-        return np.array([s / den for s in sums]), np.append(0, strides)
+        total = sum(u * g for u, g in zip(units, self.slot_counts))
+        steps = np.array((0, *units), np.int64 if total < 2**63 else object)[owners]
+        return (np.cumsum(steps, axis=1) - steps).astype(np.float64) / den
 
 
 def derive_slot_plan(duty: DutyCycleSet, slot_time_ms: float) -> SlotPlan:
@@ -175,7 +169,8 @@ class SlotSchedule:
     cannot be built, and schedules with equal plans and owners are equal.
     Each slot lasts its owner's slot size, and ``start_times_ms[j]`` is the
     wall-clock offset of slot ``j`` within one period: the exact sum of
-    the durations before it, never of rounded intermediates.
+    the durations before it, never of rounded intermediates
+    (``SlotPlan.start_times``).
     """
 
     plan: SlotPlan
@@ -198,9 +193,7 @@ class SlotSchedule:
                         f"VSTA {vsta} must own {g} slots, owner vector gives it {seen}"
                     )
         durations = tuple(plan.slot_sizes_ms[o - 1] for o in owners)
-        units, den = plan.slot_units
-        sums = accumulate((units[o - 1] for o in owners[:-1]), initial=0)
-        starts = tuple(t / den for t in sums)  # int / int rounds once, as math.fsum does
+        starts = tuple(plan.start_times(np.array([owners]))[0].tolist())
         object.__setattr__(self, "durations_ms", durations)
         object.__setattr__(self, "start_times_ms", starts)
 
@@ -222,7 +215,8 @@ class SlotSchedule:
         """Every VSTA's ``window_pattern``, by VSTA index: ``row_windows`` of this one row.
 
         Built on first read and kept in the instance ``__dict__``, so it
-        takes no part in equality or hashing.
+        takes no part in equality or hashing; ``SearchTable.schedule``
+        puts the table's patterns there instead.
         """
         windows, at, values = row_windows(
             self.plan, np.array([self.owners]), np.array([self.start_times_ms])

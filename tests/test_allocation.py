@@ -416,8 +416,9 @@ class TestSearchTable:
         assert exc_info.value.count == 3_628_800
 
     def test_start_times_past_int64(self):
-        """Slot start times whose exact unit sums pass 2**63 are read as
-        ``SlotSchedule`` reads them."""
+        """``SlotPlan.start_times``' Python-integer sums: slot start times
+        whose exact unit sums pass 2**63 are the exact prefix sums, for a
+        block of table rows as for one schedule."""
         plan = derive_slot_plan(DutyCycleSet([2999 / 3000, 1 / 3000]), 13.7)
         units, _ = plan.slot_units
         assert plan.slot_counts == (2999, 1)
@@ -426,6 +427,10 @@ class TestSearchTable:
         assert (plan.slot_counts[0] - 1) * units[0] > 2**63
         table = SearchTable(plan)
         assert table.count == 3000
+        rows = table.owners[[0, 1500, 2999]]
+        for row, times in zip(rows.tolist(), plan.start_times(rows).tolist()):
+            for j in (1, 1499, 1500, 1501, 2999):
+                assert times[j] == math.fsum(plan.slot_sizes_ms[o - 1] for o in row[:j])
         for s in (0, 1, 2, 1500, 2997, 2998, 2999, 977, 2024):
             schedule = SlotSchedule.from_owners(plan, table.owners[s])
             # VSTA 2's slot moves one slot earlier per row

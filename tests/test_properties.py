@@ -352,6 +352,15 @@ class TestScheduleProperties:
         assert schedule.start_times_ms == tuple(
             math.fsum(durations[:j]) for j in range(len(durations))
         )
+        # a block of rows at once: rotations of the owner vector
+        owners, sizes = schedule.owners, schedule.plan.slot_sizes_ms
+        shifts = dict.fromkeys((0, 1 % len(owners), len(owners) // 2))
+        rows = [owners[k:] + owners[:k] for k in shifts]
+        times = schedule.plan.start_times(np.array(rows))
+        assert times.dtype == np.float64
+        assert times.tolist() == [
+            [math.fsum(sizes[o - 1] for o in row[:j]) for j in range(len(row))] for row in rows
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(schedules())
@@ -617,6 +626,12 @@ class TestAllocationProperties:
         assert table.pattern.dtype == np.int32
         assert np.array_equal(table.pattern, pattern)
         assert repr(table.keys) == repr(keys)  # which also tells -0.0 from 0.0
+        for s in dict.fromkeys((0, table.count // 3, 2 * table.count // 3, table.count - 1)):
+            schedule = table.schedule(s)
+            assert schedule == SlotSchedule(plan, tuple(owners[s].tolist()))
+            assert repr(schedule.window_patterns) == repr(
+                tuple(keys[v][i] for v, i in enumerate(pattern[s].tolist()))
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(free_positions())

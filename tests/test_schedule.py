@@ -6,6 +6,7 @@ import pytest
 
 from minislot.allocation import minmax_allocate
 from minislot.schedule import (
+    DUTY_SUM_TOLERANCE,
     MAX_PERIOD_MS,
     MAX_TOTAL_SLOTS,
     DutyCycleSet,
@@ -45,6 +46,18 @@ class TestDutyCycleSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DutyCycleSet([])
+
+    def test_slot_bound_boundary(self):
+        """A smallest duty cycle exactly at the bound's tolerance is accepted,
+        and gives a plan of ``MAX_TOTAL_SLOTS`` slots; the next float below
+        it is refused."""
+        smallest = 9.99999e-05
+        assert smallest * MAX_TOTAL_SLOTS == 1.0 - DUTY_SUM_TOLERANCE
+        plan = derive_slot_plan(DutyCycleSet([smallest, 1.0 - smallest]), 1.0)
+        assert plan.total_slots == MAX_TOTAL_SLOTS
+        below = math.nextafter(smallest, 0.0)
+        with pytest.raises(ValueError, match=f"more than {MAX_TOTAL_SLOTS} slots"):
+            DutyCycleSet([below, 1.0 - below])
 
 
 class TestDeriveSlotPlan:
