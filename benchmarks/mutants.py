@@ -117,6 +117,19 @@ MUTANTS = (
         "stratification points at k / n, not (k + 1/2) / n",
         "rttmodel.py", "before[1:-1] * (n / before[-1]) - 0.5)", "before[1:-1] * (n / before[-1]))",
     ),
+    Mutant("sends left in draw order", "rttmodel.py", "    offsets.sort()\n", ""),
+    Mutant(
+        "an offset at a window's connected-time start falls in the window before",
+        "rttmodel.py",
+        "offsets.searchsorted(before[1:-1])",
+        'offsets.searchsorted(before[1:-1], side="right")',
+    ),
+    Mutant(
+        "a send adds its window's start before subtracting the connected time before it",
+        "rttmodel.py",
+        "        part -= before[i]\n        part += starts[i]\n",
+        "        part += starts[i]\n        part -= before[i]\n",
+    ),
     Mutant("CSV numbers with 7 significant digits", "scenarios.py", '".6g"', '".7g"'),
     Mutant(
         "CSV prints -0.0 as -0",

@@ -6,8 +6,8 @@ while it is disconnected sits in the AP buffer until it reconnects
 after each reconnection (``RttSamplerConfig``).  Anchoring sends at
 reconnections, not at the period's origin, makes the sampled mean RTT of
 a rotated schedule differ only by sampling noise.  One draw of send
-times, sorted once for the kernel, serves every delay of a sweep
-(``sweep_rtt_samples``).  The draw owns the kernel's working arrays,
+times, made ascending as the kernel takes them, serves every delay of a
+sweep (``sweep_rtt_samples``).  The draw owns the kernel's working arrays,
 allocated once, and every delay writes into them, so an array of RTTs
 it yields lasts only until the next delay.  Throughput follows from the
 mean RTT (``vsta_throughput``).
@@ -27,11 +27,10 @@ from .schedule import SlotSchedule, window_pattern
 MAX_LOSS_RATE = 0.02
 #: the largest MSS the 16-bit TCP MSS option carries
 MAX_MSS_BYTES = 65_535
-#: most RTT samples per (VSTA, delay).  A draw holds at most five arrays of
+#: most RTT samples per (VSTA, delay).  A draw holds at most three arrays of
 #: this length, of 8-byte entries, at once, however many delays it serves:
-#: while it draws, and then through its sweep the ascending sends, their
-#: draw-order ranks, the kernel's acks and RTTs, and the RTTs in draw
-#: order.  So far larger counts would exhaust memory.
+#: the ascending sends and the kernel's acks and RTTs.  So far larger counts
+#: would exhaust memory.
 MAX_N_SAMPLES = 1_000_000
 
 
@@ -112,7 +111,8 @@ def sample_rtts(
     The package draws send times only here: one draw serves every delay,
     and each mean is, bit for bit, that of a one-delay call with the same seed.
     Each mean is computed as ``ndarray.mean`` computes it, numpy's
-    pairwise ``add.reduce`` divided by ``n``, without its wrapper's cost.
+    pairwise ``add.reduce`` divided by ``n``, without its wrapper's cost,
+    over the RTTs in the order of the ascending sends.
     """
     n = cfg.n_samples
     means = tuple(
@@ -127,33 +127,21 @@ def sweep_rtt_samples(
     """Sampled RTTs under a window pattern at each delay, from one draw of send times.
 
     Every delay sees the same sends (``_send_times``), exactly as separate
-    one-delay calls with the same seed would.  The kernel takes the sends
-    ascending, so they are sorted once per draw, and that one sort serves
-    every delay.  Each delay's RTTs are put back in draw order, so a mean
-    adds the same floats in the same order as over unsorted sends, and
-    keeps its bits; the sort may order equal sends either way, as their
-    RTTs are equal too.
+    one-delay calls with the same seed would.  They are drawn ascending,
+    as the kernel takes them, and each delay's RTTs are in their order.
 
     The draw allocates its working arrays once, and every delay writes
     into them: the array yielded for one delay is overwritten by the
     next, so a caller that keeps one must copy it.
     """
     bounds, sends = _send_times(pattern, cfg)
-    order = sends.argsort()
-    ascending = sends[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    del order
-    # the unsorted sends are spent: their array takes the kernel's acks
-    acks, rtts, drawn = sends, np.empty_like(sends), np.empty_like(sends)
+    acks, rtts = np.empty_like(sends), np.empty_like(sends)
     for delay in delays_ms:
-        rtt_samples(bounds, ascending, delay, acks, rtts)
-        # mode="raise" would gather into a temporary and copy it to ``drawn``
-        yield rtts.take(rank, out=drawn, mode="clip")
+        yield rtt_samples(bounds, sends, delay, acks, rtts)
 
 
 def _send_times(pattern: tuple, cfg: RttSamplerConfig):
-    """``(bounds, sends)``: a pattern's windows and its draw of send times.
+    """``(bounds, sends)``: a pattern's windows and its draw of send times, ascending.
 
     The package lays out a pattern's windows only here.  ``pattern`` is a
     ``window_pattern``.  Its windows are laid out from time 0: each
@@ -164,6 +152,7 @@ def _send_times(pattern: tuple, cfg: RttSamplerConfig):
     the window holding the point ``(k + 1/2) / n`` of the connected time;
     a last window whose gap is 0 runs on into the first across the
     period boundary, and the sends of both follow its reconnection.
+    The sends come out ascending, laid out window by window.
     """
     # 0, end of window 0, start of window 1, ..., end of the last window, period
     bounds = np.concatenate(([0.0], np.cumsum(pattern)))
@@ -183,10 +172,16 @@ def _send_times(pattern: tuple, cfg: RttSamplerConfig):
     # for offsets >= 0, fmod equals % bit for bit and is cheaper; every
     # offset lands below before[-1], so in a window
     np.fmod(offsets, before[-1], out=offsets)
-    # the window each connected-time offset falls in, and its wall-clock time
-    idx = np.searchsorted(before[1:], offsets, side="right")
-    sends = starts[idx] + (offsets - before[idx])
-    return bounds, sends
+    # ascending offsets fall window by window, an offset at before[j] in window
+    # j; each slice maps to wall-clock time in place, with the two roundings
+    # of starts[i] + (offset - before[i])
+    offsets.sort()
+    cuts = (0, *offsets.searchsorted(before[1:-1]).tolist(), n)
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        part = offsets[a:b]
+        part -= before[i]
+        part += starts[i]
+    return bounds, offsets
 
 
 def vsta_sum(values: Iterable):

@@ -242,6 +242,25 @@ def bits(values):
     return np.asarray(values, np.float64).view(np.int64).tolist()
 
 
+def reference_send_times(pattern, cfg):
+    """``rttmodel._send_times``' sends as first written, in draw order:
+    each wrapped offset's window found by ``searchsorted`` and its
+    wall-clock time ``starts[idx] + (offsets - before[idx])``."""
+    bounds = np.concatenate(([0.0], np.cumsum(pattern)))
+    starts, ends = bounds[:-1:2], bounds[1::2]
+    before = np.concatenate(([0.0], np.cumsum(ends - starts)))
+    n = cfg.n_samples
+    anchors = before[:-1].copy()
+    if pattern[-1][1] == 0.0:
+        anchors[0] = anchors[-1]
+    firsts = np.clip(np.ceil(before[1:-1] * (n / before[-1]) - 0.5), 0, n).astype(np.intp)
+    offsets = np.repeat(anchors, np.diff(firsts, prepend=0, append=n))
+    offsets += np.random.default_rng(cfg.seed).exponential(cfg.mean_fraction * before[-1], n)
+    np.fmod(offsets, before[-1], out=offsets)
+    idx = np.searchsorted(before[1:], offsets, side="right")
+    return starts[idx] + (offsets - before[idx])
+
+
 @st.composite
 def window_patterns(draw):
     """A window pattern of 1-9 (length, gap) pairs; only the last gap may
@@ -517,6 +536,56 @@ class TestRttProperties:
             for mean, delay in zip(swept, delays):
                 assert mean == sample_rtts(key, (delay,), cfg).means_ms[0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window_patterns(),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_sends_are_the_reference_draw_sorted(self, pattern, n, seed):
+        """The draw's sends, laid out window by window, are the first
+        construction's sends sorted, bit for bit."""
+        cfg = RttSamplerConfig(n_samples=n, mean_fraction=0.25, seed=seed)
+        _, sends = _send_times(pattern, cfg)
+        assert bits(sends) == bits(np.sort(reference_send_times(pattern, cfg)))
+
+    def test_offsets_on_window_boundaries(self, monkeypatch):
+        """Connected-time offsets drawn exactly at the connected time before
+        a window, at the whole connected time and twice it (both wrap to
+        0) and just below it give the reference's sends: an offset at
+        ``before[j]`` is sent at the start of window ``j``, never at the
+        end of window ``j - 1``."""
+        pattern = ((23.222356033, 5.023309187), (5.620056354, 18.416655866),
+                   (24.290421442, 15.960734211))
+        bounds = np.concatenate(([0.0], np.cumsum(pattern)))
+        starts, ends = bounds[:-1:2], bounds[1::2]
+        before = np.concatenate(([0.0], np.cumsum(ends - starts)))
+        total = float(before[-1])
+        points = [before[1], before[2], total, 2 * total, math.nextafter(total, 0.0)]
+
+        class Draws:
+            """Exponential draws: the points, then 1 ms, inside every window."""
+
+            def __init__(self, seed):
+                pass
+
+            def exponential(self, scale, size):
+                draws = np.ones(size)
+                draws[:len(points)] = points
+                return draws
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        # the first 44 of 100 sends follow window 0's reconnection at
+        # connected time 0, so their offsets are the draws themselves
+        cfg = RttSamplerConfig(n_samples=100, mean_fraction=0.25, seed=0)
+        _, sends = _send_times(pattern, cfg)
+        assert bits(sends) == bits(np.sort(reference_send_times(pattern, cfg)))
+        for j in (1, 2):
+            assert np.count_nonzero(sends == starts[j]) == 1
+            assert not np.any(sends == ends[j - 1])
+        assert np.count_nonzero(sends == 0.0) == 2
+        assert starts[-1] < sends[-1] <= ends[-1]
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.floats(min_value=0.0, max_value=MAX_LOSS_RATE, exclude_min=True, exclude_max=True),
@@ -565,14 +634,22 @@ class TestKernelProperties:
         st.integers(min_value=0, max_value=2**32),
         st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4),
     )
-    def test_sweep_yields_draw_order(self, pattern, n, seed, delays):
-        """Sorting the sends for the kernel leaves each delay's RTTs in
-        draw order: the reference kernel's on the unsorted sends."""
+    def test_sweep_is_the_reference_kernel_on_the_draw(self, pattern, n, seed, delays):
+        """Each delay's RTTs are the reference kernel's on the draw's
+        sends, bit for bit, and each mean is within ``64 * 2**-52``,
+        relative, of ``math.fsum`` of the reference RTTs of the first
+        construction's sends divided by ``n``, whatever the order of the
+        sum."""
         cfg = RttSamplerConfig(n_samples=n, mean_fraction=0.25, seed=seed)
         bounds, sends = _send_times(pattern, cfg)
         swept = sweep_rtt_samples(pattern, delays, cfg)
         for delay, rtts in zip(delays, swept, strict=True):
             assert bits(rtts) == bits(reference(bounds, sends, delay))
+        drawn = reference_send_times(pattern, cfg)
+        means = sample_rtts(pattern, delays, cfg).means_ms
+        for delay, mean in zip(delays, means, strict=True):
+            exact = math.fsum(reference(bounds, drawn, delay).tolist()) / n
+            assert abs(mean - exact) <= 64 * 2**-52 * exact
 
 
     @settings(max_examples=60, deadline=None)
@@ -580,7 +657,7 @@ class TestKernelProperties:
     def test_sweep_buffers_keep_no_stale_values(self, case):
         """A sweep's working arrays carry nothing from one delay to the
         next: each delay's RTTs, copied before the next, are the reference
-        kernel's on the unsorted sends, and each mean is their mean."""
+        kernel's on the draw's sends, and each mean is their mean."""
         pattern, cfg, delays = case
         bounds, sends = _send_times(pattern, cfg)
         expected = [reference(bounds, sends, delay) for delay in delays]
