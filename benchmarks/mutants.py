@@ -78,8 +78,8 @@ MUTANTS = (
     Mutant(
         "the last gap ends at the period, not at the first window",
         "schedule.py",
-        "nxt[ends - 1] = plan.period_ms + start[ends - windows]",
-        "nxt[ends - 1] = plan.period_ms",
+        "nxt[ends - 1] = plan.period_ms + start[",
+        "nxt[ends - 1] = plan.period_ms + 0 * start[",
     ),
     Mutant(
         "start-time sums always Python integers",
@@ -94,6 +94,16 @@ MUTANTS = (
     Mutant(
         "start-time sums divided without the cast to float64",
         "schedule.py", ".astype(np.float64) / den", " / den",
+    ),
+    Mutant(
+        "a pattern key's gaps read from its lengths' indices",
+        "schedule.py", "at[w + a:w + b]", "at[a:b]",
+    ),
+    Mutant(
+        "patterns of different VSTAs share a digit row",
+        "schedule.py",
+        "keyed[:, 0] = np.arange(len(windows)) % n",
+        "keyed[:, 0] = 0",
     ),
     Mutant(
         "a table schedule takes the first row's patterns",

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rttmodel import PathParams, ThroughputEvaluator, vsta_sum, vsta_throughput
-from .schedule import SlotPlan, SlotSchedule, max_disconnection, row_windows, worst_gap
+from .schedule import SlotPlan, SlotSchedule, max_disconnection, pattern_ids, worst_gap
 
 #: most owner vectors an exhaustive search enumerates; ten duty cycles of
 #: 0.1 give 10! = 3,628,800.  ``benchmarks/search_table.py`` (2-core Xeon,
@@ -97,7 +97,7 @@ class SearchTable:
         interned: list[dict[tuple, int]] = [{} for _ in range(plan.n_vstas)]
         rows = max(1, _BLOCK // plan.total_slots)
         for s in range(0, count, rows):
-            self.pattern[s:s + rows] = _pattern_ids(plan, self.owners[s:s + rows], interned)
+            self.pattern[s:s + rows] = pattern_ids(plan, self.owners[s:s + rows], interned)
         self.keys = [list(ids) for ids in interned]
         self.gaps = [[worst_gap(key) for key in keys] for keys in self.keys]
 
@@ -142,42 +142,6 @@ def _owner_vectors(plan: SlotPlan, count: int) -> np.ndarray:
             first, size, left = lo[kept], runs[kept], left[prefix]
             left[np.arange(len(kept)), owner] -= 1
     return owners
-
-
-def _pattern_ids(
-    plan: SlotPlan, owners: np.ndarray, interned: list[dict[tuple, int]]
-) -> np.ndarray:
-    """Each row's pattern id per VSTA, interning new patterns in ``interned``.
-
-    The windows come from ``row_windows``, and a key is built only for
-    each distinct pattern.
-    """
-    n = plan.n_vstas
-    windows, at, rounded = row_windows(plan, owners, plan.start_times(owners))
-    w = len(at) // 2
-    heads = np.cumsum(windows) - windows
-    # one row per group: the VSTA, then each window's length and gap as
-    # digits, 1.. per distinct rounded value, and 0 past its last window
-    digit_of: dict[float, int] = {}
-    digits = np.array([digit_of.setdefault(x, len(digit_of) + 1) for x in rounded], np.int32)[at]
-    keyed = np.zeros((len(windows), 1 + 2 * int(windows.max())), np.int32)
-    keyed[:, 0] = np.arange(len(windows)) % n
-    group = np.repeat(np.arange(len(windows)), windows)
-    col = 1 + 2 * (np.arange(w) - heads[group])
-    keyed[group, col] = digits[:w]
-    keyed[group, col + 1] = digits[w:]
-    _, seen, local = np.unique(
-        keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel(),
-        return_index=True, return_inverse=True,
-    )
-    ids = np.empty(len(seen), np.int32)
-    seen = seen.tolist()
-    for u in sorted(range(len(seen)), key=seen.__getitem__):
-        g = seen[u]
-        own = slice(heads[g], heads[g] + windows[g])
-        key = tuple(zip([rounded[i] for i in at[:w][own]], [rounded[i] for i in at[w:][own]]))
-        ids[u] = interned[g % n].setdefault(key, len(interned[g % n]))
-    return ids[local].reshape(len(owners), n)
 
 
 def eq2_objective(schedule: SlotSchedule) -> float:

@@ -10,7 +10,7 @@ VSTA sees of a schedule: its window pattern and its disconnection costs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -164,10 +164,11 @@ class SlotSchedule:
     """An ordered assignment of ``plan``'s slots to VSTAs.
 
     ``owners`` holds 1-based VSTA indices, one per slot position; sorted,
-    they must be the plan's ``contiguous_owners``.  Everything else is
-    derived from the plan and the owners, so an inconsistent schedule
-    cannot be built, and schedules with equal plans and owners are equal.
-    Each slot lasts its owner's slot size, and ``start_times_ms[j]`` is the
+    they must be the plan's ``contiguous_owners``.  The two are the whole
+    schedule: everything else is derived from them on first read and kept
+    in the instance ``__dict__``, so an inconsistent schedule cannot be
+    built, and schedules with equal plans and owners are equal.  Each slot
+    lasts its owner's slot size, and ``start_times_ms[j]`` is the
     wall-clock offset of slot ``j`` within one period: the exact sum of
     the durations before it, never of rounded intermediates
     (``SlotPlan.start_times``).
@@ -175,8 +176,6 @@ class SlotSchedule:
 
     plan: SlotPlan
     owners: tuple[int, ...]
-    durations_ms: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    start_times_ms: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         plan, owners = self.plan, self.owners
@@ -192,10 +191,6 @@ class SlotSchedule:
                     raise ValueError(
                         f"VSTA {vsta} must own {g} slots, owner vector gives it {seen}"
                     )
-        durations = tuple(plan.slot_sizes_ms[o - 1] for o in owners)
-        starts = tuple(plan.start_times(np.array([owners]))[0].tolist())
-        object.__setattr__(self, "durations_ms", durations)
-        object.__setattr__(self, "start_times_ms", starts)
 
     @property
     def period_ms(self) -> float:
@@ -211,52 +206,54 @@ class SlotSchedule:
         return cls(plan, tuple(int(o) for o in owners))
 
     @cached_property
+    def durations_ms(self) -> tuple[float, ...]:
+        return tuple(self.plan.slot_sizes_ms[o - 1] for o in self.owners)
+
+    @cached_property
+    def start_times_ms(self) -> tuple[float, ...]:
+        return tuple(self.plan.start_times(np.array([self.owners]))[0].tolist())
+
+    @cached_property
     def window_patterns(self) -> tuple[tuple, ...]:
-        """Every VSTA's ``window_pattern``, by VSTA index: ``row_windows`` of this one row.
+        """Every VSTA's ``window_pattern``, by VSTA index: ``pattern_ids`` of this one row.
 
-        Built on first read and kept in the instance ``__dict__``, so it
-        takes no part in equality or hashing; ``SearchTable.schedule``
-        puts the table's patterns there instead.
+        ``SearchTable.schedule`` puts the table's patterns here instead.
         """
-        windows, at, values = row_windows(
-            self.plan, np.array([self.owners]), np.array([self.start_times_ms])
-        )
-        rounded = [values[i] for i in at.tolist()]
-        w = len(rounded) // 2
-        pairs = list(zip(rounded[:w], rounded[w:]))
-        ends = np.cumsum(windows).tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
+        interned: list[dict[tuple, int]] = [{} for _ in range(self.n_vstas)]
+        pattern_ids(self.plan, np.array([self.owners]), interned)
+        return tuple(next(iter(keys)) for keys in interned)
 
 
-def row_windows(
-    plan: SlotPlan, owners: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """The windows of the owner vectors ``owners``, one per row, whose
-    slots start at ``times`` (of ``owners``' shape).
+def pattern_ids(
+    plan: SlotPlan, owners: np.ndarray, interned: list[dict[tuple, int]]
+) -> np.ndarray:
+    """Each VSTA's window-pattern id in each row of ``owners``, owner vectors one per row.
 
-    Returns ``(windows, at, values)``.  ``windows`` holds each (row, VSTA)'s
-    window count, by row and then by VSTA; every VSTA has a window in
-    every row.  The ``w`` windows come in that order, each VSTA's in time
-    order, and window ``i`` has length ``values[at[i]]`` and gap to the
-    next window ``values[at[w + i]]``.
+    The package's one window rule.  Entry ``[r, v - 1]`` is the value of
+    VSTA ``v``'s ``window_pattern`` in row ``r`` in ``interned[v - 1]``,
+    which adds a pattern it lacks with the next id, in row order.  Each
+    distinct pattern's key is built once.
 
     A window is a run of one VSTA's consecutive slots, in one period from
-    time 0: it opens where the previous slot has another owner and closes
-    before the next such slot, with no time tolerance, and it never runs
-    on from the last slot into the first.  It lasts from its first slot's
-    start to its last slot's start plus the slot size; the last window's
-    next start is the period plus the first window's start, so a VSTA
-    that owns the first and the last slot gets a last gap of exactly 0
-    (see ``MAX_PERIOD_MS``).  Python's ``round(x, 9)`` is applied once to
-    each distinct difference.
+    time 0 (``SlotPlan.start_times``): it opens where the previous slot
+    has another owner and closes before the next such slot, with no time
+    tolerance, and it never runs on from the last slot into the first.
+    It lasts from its first slot's start to its last slot's start plus the
+    slot size; the last window's next start is the period plus the first
+    window's start, so a VSTA that owns the first and the last slot gets a
+    last gap of exactly 0 (see ``MAX_PERIOD_MS``).  Python's
+    ``round(x, 9)`` is applied once to each distinct difference.
     """
     n = plan.n_vstas
+    times = plan.start_times(owners)
     opens = np.ones(owners.shape, bool)
     opens[:, 1:] = owners[:, 1:] != owners[:, :-1]
     closes = np.ones(owners.shape, bool)
     closes[:, :-1] = opens[:, 1:]
     row, first = np.nonzero(opens)
     last = np.nonzero(closes)[1]
+    # the windows by row, then by VSTA, each VSTA's in time order; every
+    # VSTA has a window in every row
     group = row * n + (owners[row, first] - 1)
     order = np.argsort(group, kind="stable")
     row, first, last, group = row[order], first[order], last[order], group[order]
@@ -264,11 +261,35 @@ def row_windows(
     end = times[row, last] + np.array(plan.slot_sizes_ms)[group % n]
     windows = np.bincount(group)
     ends = np.cumsum(windows)
+    heads = ends - windows
     nxt = np.empty_like(start)
     nxt[:-1] = start[1:]
-    nxt[ends - 1] = plan.period_ms + start[ends - windows]
+    nxt[ends - 1] = plan.period_ms + start[heads]
+    # window i has length rounded[at[i]] and gap rounded[at[w + i]]
     values, at = np.unique(np.concatenate([end - start, nxt - end]), return_inverse=True)
-    return windows, at, [round(x, 9) for x in values.tolist()]
+    rounded = [round(x, 9) for x in values.tolist()]
+    w = len(start)
+    # one row per group: the VSTA, then each window's length and gap as
+    # digits, 1.. per distinct rounded value, and 0 past its last window
+    digit_of: dict[float, int] = {}
+    digits = np.array([digit_of.setdefault(x, len(digit_of) + 1) for x in rounded], np.int32)[at]
+    keyed = np.zeros((len(windows), 1 + 2 * int(windows.max())), np.int32)
+    keyed[:, 0] = np.arange(len(windows)) % n
+    col = 1 + 2 * (np.arange(w) - heads[group])
+    keyed[group, col] = digits[:w]
+    keyed[group, col + 1] = digits[w:]
+    _, seen, local = np.unique(
+        keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    ids = np.empty(len(seen), np.int32)
+    seen, heads, ends, at = seen.tolist(), heads.tolist(), ends.tolist(), at.tolist()
+    for u in sorted(range(len(seen)), key=seen.__getitem__):
+        g = seen[u]
+        a, b = heads[g], ends[g]
+        key = tuple(zip([rounded[i] for i in at[a:b]], [rounded[i] for i in at[w + a:w + b]]))
+        ids[u] = interned[g % n].setdefault(key, len(interned[g % n]))
+    return ids[local].reshape(len(owners), n)
 
 
 def build_contiguous_schedule(plan: SlotPlan) -> SlotSchedule:

@@ -440,6 +440,25 @@ class TestSearchTable:
         for v in range(plan.n_vstas):
             assert len(set(table.keys[v])) == len(table.keys[v])
 
+    def test_start_times_computed_on_first_read(self, case1_plan, monkeypatch):
+        """Building a schedule, from owners or from a table row, computes no
+        start times, nor does reading a table schedule's window patterns;
+        a schedule computes them once, on its first read of ``start_times_ms``."""
+        table = SearchTable(case1_plan)
+        calls = []
+        start_times = SlotPlan.start_times
+
+        def counted(plan, owners):
+            calls.append(len(owners))
+            return start_times(plan, owners)
+
+        monkeypatch.setattr(SlotPlan, "start_times", counted)
+        fresh, taken = SlotSchedule.from_owners(case1_plan, table.owners[7]), table.schedule(7)
+        assert taken.window_patterns and calls == []
+        for schedule in (fresh, taken):
+            assert schedule.start_times_ms == schedule.start_times_ms
+        assert calls == [1, 1]
+
 
 class TestTableSearchMatchesBruteForce:
     CFG = RttSamplerConfig(n_samples=300, mean_fraction=0.25, seed=5)

@@ -211,7 +211,8 @@ class TestSlotScheduleValidation:
     def test_equal_plan_and_owners_are_equal(self, worked_schedule, rotated):
         again = SlotSchedule.from_owners(WORKED_PLAN, list(WORKED_OWNERS))
         assert again == worked_schedule and hash(again) == hash(worked_schedule)
-        # the cached window patterns take no part in equality or hashing
+        # the cached derived tuples take no part in equality or hashing
+        assert worked_schedule.durations_ms and worked_schedule.start_times_ms
         assert worked_schedule.window_patterns
         assert again == worked_schedule and hash(again) == hash(worked_schedule)
         assert rotated(worked_schedule, 1) != worked_schedule
