@@ -129,6 +129,12 @@ MUTANTS = (
     ),
     Mutant("sends left in draw order", "rttmodel.py", "    offsets.sort()\n", ""),
     Mutant(
+        "a draw's acks and RTTs share one array",
+        "rttmodel.py",
+        "acks, rtts = np.empty_like(sends), np.empty_like(sends)",
+        "acks = rtts = np.empty_like(sends)",
+    ),
+    Mutant(
         "an offset at a window's connected-time start falls in the window before",
         "rttmodel.py",
         "offsets.searchsorted(before[1:-1])",
@@ -144,6 +150,14 @@ MUTANTS = (
     Mutant(
         "CSV prints -0.0 as -0",
         "scenarios.py", "format(value + 0.0, ", "format(value, ",
+    ),
+    Mutant(
+        "CSV cells read with the first two swapped",
+        "scenarios.py", "for cell in row", "for cell in (row[1], row[0], *row[2:])",
+    ),
+    Mutant(
+        "a scenario file's repeated key keeps its last value",
+        "scenarios.py", ", object_pairs_hook=_json_object)", ")",
     ),
     Mutant(
         "the upper bound takes the least aggregate",

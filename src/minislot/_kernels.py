@@ -19,8 +19,8 @@ def rtt_samples(bounds, sends, delay: float, acks: np.ndarray, rtts: np.ndarray)
 
     The caller owns the working arrays: ``acks`` and ``rtts`` are float64
     arrays of the length of ``sends``, whatever they held is overwritten,
-    and the RTTs are written into ``rtts``, which is returned.  A sweep
-    passes the same two for each of its delays (``rttmodel.sweep_rtt_samples``).
+    and the RTTs are written into ``rtts``, which is returned.
+    ``rttmodel.sample_rtts`` owns a draw's two and passes them for each delay.
 
     Ascending sends give ascending acks, which fall into runs of whole
     periods ``k``.  Within a run the ack phases ascend too, so each

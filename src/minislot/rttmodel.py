@@ -7,16 +7,15 @@ after each reconnection (``RttSamplerConfig``).  Anchoring sends at
 reconnections, not at the period's origin, makes the sampled mean RTT of
 a rotated schedule differ only by sampling noise.  One draw of send
 times, made ascending as the kernel takes them, serves every delay of a
-sweep (``sweep_rtt_samples``).  The draw owns the kernel's working arrays,
-allocated once, and every delay writes into them, so an array of RTTs
-it yields lasts only until the next delay.  Throughput follows from the
-mean RTT (``vsta_throughput``).
+sweep (``sample_rtts``), which owns the kernel's working arrays: it
+allocates them once and every delay writes into them.  Throughput
+follows from the mean RTT (``vsta_throughput``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,36 +107,21 @@ def sample_rtts(
 ) -> RttStats:
     """Monte-Carlo mean RTT under a window pattern at each delay; deterministic per seed.
 
-    The package draws send times only here: one draw serves every delay,
-    and each mean is, bit for bit, that of a one-delay call with the same seed.
-    Each mean is computed as ``ndarray.mean`` computes it, numpy's
+    The package draws send times only here: one draw (``_send_times``)
+    serves every delay, and the kernel overwrites the draw's two working
+    arrays at each.  Each mean is, bit for bit, that of a one-delay call
+    with the same seed, computed as ``ndarray.mean`` computes it, numpy's
     pairwise ``add.reduce`` divided by ``n``, without its wrapper's cost,
     over the RTTs in the order of the ascending sends.
     """
     n = cfg.n_samples
-    means = tuple(
-        float(np.add.reduce(rtts) / n) for rtts in sweep_rtt_samples(pattern, delays_ms, cfg)
-    )
-    return RttStats(means_ms=means, n=n)
-
-
-def sweep_rtt_samples(
-    pattern: tuple, delays_ms: Sequence[float], cfg: RttSamplerConfig
-) -> Iterator[np.ndarray]:
-    """Sampled RTTs under a window pattern at each delay, from one draw of send times.
-
-    Every delay sees the same sends (``_send_times``), exactly as separate
-    one-delay calls with the same seed would.  They are drawn ascending,
-    as the kernel takes them, and each delay's RTTs are in their order.
-
-    The draw allocates its working arrays once, and every delay writes
-    into them: the array yielded for one delay is overwritten by the
-    next, so a caller that keeps one must copy it.
-    """
     bounds, sends = _send_times(pattern, cfg)
     acks, rtts = np.empty_like(sends), np.empty_like(sends)
-    for delay in delays_ms:
-        yield rtt_samples(bounds, sends, delay, acks, rtts)
+    means = tuple(
+        float(np.add.reduce(rtt_samples(bounds, sends, delay, acks, rtts)) / n)
+        for delay in delays_ms
+    )
+    return RttStats(means_ms=means, n=n)
 
 
 def _send_times(pattern: tuple, cfg: RttSamplerConfig):

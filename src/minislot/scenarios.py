@@ -10,8 +10,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .allocation import SearchTable, blind_allocate, minmax_allocate, upper_bound_allocate
 from .rttmodel import (
@@ -263,11 +262,20 @@ def _json_integer(digits: str) -> int | float:
         return float(digits)
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    config = {}
+    for key, value in pairs:
+        if key in config:
+            raise ConfigError(f"key {key!r} is given more than once")
+        config[key] = value
+    return config
+
+
 def load_config(path: str) -> dict:
-    """The configuration mapping held by the JSON file at ``path``."""
+    """The configuration mapping held by the JSON file at ``path``; no object repeats a key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_int=_json_integer)
+            config = json.load(fh, parse_int=_json_integer, object_pairs_hook=_json_object)
     except OSError as exc:  # a directory or an unreadable file among them
         raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
@@ -321,8 +329,7 @@ def builtin_scenarios(name: str) -> list[Scenario]:
     return [scenario_from_config(config) for config in builtin_configs(name)]
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     scenario: str
     algorithm: str
     base_delay_ms: float
@@ -334,7 +341,7 @@ class ResultRow:
     seed: int
 
 
-CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(ResultRow._fields)
 
 
 def _ratio(value: float, baseline: float) -> float:
@@ -454,19 +461,18 @@ def emit_csv(rows: Sequence[ResultRow]) -> str:
 
     Rows are sorted by scenario, delay, algorithm and VSTA, the
     aggregate row ``all`` last, so a scenario and seed give the same bytes.
-    The cells follow ``ResultRow``'s fields, which ``CSV_HEADER`` names:
-    text and integers as they are, floats by ``_fmt``.
+    A row is the tuple of its cells, in the order ``CSV_HEADER`` names
+    them: text and integers as they are, floats by ``_fmt``.
     """
 
     def sort_key(row: ResultRow):
         vsta_key = (1, 0) if row.vsta == "all" else (0, int(row.vsta))
         return (row.scenario, row.base_delay_ms, row.algorithm, vsta_key)
 
-    cells = attrgetter(*(f.name for f in fields(ResultRow)))
     lines = [CSV_HEADER]
     for row in sorted(rows, key=sort_key):
         lines.append(",".join([
-            str(cell) if isinstance(cell, (str, int)) else _fmt(cell) for cell in cells(row)
+            str(cell) if isinstance(cell, (str, int)) else _fmt(cell) for cell in row
         ]))
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
+import numpy as np
 import pytest
 
-from minislot.rttmodel import vsta_sum, vsta_throughput
+from minislot._kernels import rtt_samples
+from minislot.rttmodel import _send_times, vsta_sum, vsta_throughput
 from minislot.schedule import SlotSchedule, max_disconnection
 
 #: how far apart two slot boundaries may lie and still count as one
@@ -31,6 +33,12 @@ def _eq1_penalty(schedule, paths):
                 vsta_throughput(path, path.delay_ms) - vsta_throughput(path, path.delay_ms + worst)
             )
     return vsta_sum(losses)
+
+
+def _drawn_rtts(pattern, delay, cfg):
+    """The kernel's RTTs at ``delay`` on the sends ``sample_rtts`` draws, in fresh arrays."""
+    bounds, sends = _send_times(pattern, cfg)
+    return rtt_samples(bounds, sends, delay, np.empty_like(sends), np.empty_like(sends))
 
 
 def _rotated(schedule, k):
@@ -77,6 +85,12 @@ def aggregate():
 def eq1_penalty():
     """``eq1_penalty(schedule, paths)``: the brute-force eq1 reference."""
     return _eq1_penalty
+
+
+@pytest.fixture(scope="session")
+def drawn_rtts():
+    """``drawn_rtts(pattern, delay, cfg)``: one delay's RTTs on a draw's sends."""
+    return _drawn_rtts
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,7 @@ from minislot.allocation import (
     minmax_allocate,
     schedule_count,
 )
-from minislot.rttmodel import (
-    RttSamplerConfig,
-    sample_rtts,
-    sweep_rtt_samples,
-    vsta_seed,
-)
+from minislot.rttmodel import RttSamplerConfig, sample_rtts, vsta_seed
 from minislot.scenarios import DEFAULT_SWEEP, Scenario, builtin_scenarios, run_scenario
 from minislot.schedule import (
     DutyCycleSet,
@@ -197,7 +192,7 @@ def test_criterion_8_rtt_plateau():
     )
 
 
-def test_criterion_9_property_suite(rotated):
+def test_criterion_9_property_suite(rotated, drawn_rtts):
     rng = np.random.default_rng(2024)
     plan = derive_slot_plan(DutyCycleSet([0.5, 0.125, 0.375]), 12.5)
     checks = []
@@ -217,7 +212,7 @@ def test_criterion_9_property_suite(rotated):
         cfg = RttSamplerConfig(n_samples=200, mean_fraction=0.25, seed=seed)
         delay = float(rng.uniform(0.0, 150.0))
         key = window_pattern(schedule, 1)
-        (rtts,) = sweep_rtt_samples(key, (delay,), cfg)
+        rtts = drawn_rtts(key, delay, cfg)
         worst = max_disconnection(schedule, 1)
         checks.append(rtts.min() >= delay - 1e-9)
         checks.append(rtts.max() <= delay + worst + 1e-6)

@@ -29,7 +29,6 @@ from minislot.rttmodel import (
     RttSamplerConfig,
     _send_times,
     sample_rtts,
-    sweep_rtt_samples,
     vsta_throughput,
 )
 from minislot.schedule import (
@@ -507,12 +506,12 @@ class TestRttProperties:
         st.floats(min_value=0.0, max_value=250.0, allow_nan=False),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_rtt_bounds_and_determinism(self, plan_schedule, delay, seed):
+    def test_rtt_bounds_and_determinism(self, drawn_rtts, plan_schedule, delay, seed):
         plan, schedule = plan_schedule
         cfg = RttSamplerConfig(n_samples=300, mean_fraction=0.25, seed=seed)
         for vsta in range(1, plan.n_vstas + 1):
             key = window_pattern(schedule, vsta)
-            (rtts,) = sweep_rtt_samples(key, (delay,), cfg)
+            rtts = drawn_rtts(key, delay, cfg)
             worst = max_disconnection(schedule, vsta)
             assert rtts.min() >= delay - 1e-9
             assert rtts.max() <= delay + worst + 1e-6
@@ -635,15 +634,15 @@ class TestKernelProperties:
         st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4),
     )
     def test_sweep_is_the_reference_kernel_on_the_draw(self, pattern, n, seed, delays):
-        """Each delay's RTTs are the reference kernel's on the draw's
-        sends, bit for bit, and each mean is within ``64 * 2**-52``,
-        relative, of ``math.fsum`` of the reference RTTs of the first
-        construction's sends divided by ``n``, whatever the order of the
-        sum."""
+        """The kernel's RTTs on the draw's sends are the reference
+        kernel's, bit for bit, at each delay, and each mean is within
+        ``64 * 2**-52``, relative, of ``math.fsum`` of the reference RTTs
+        of the first construction's sends divided by ``n``, whatever the
+        order of the sum."""
         cfg = RttSamplerConfig(n_samples=n, mean_fraction=0.25, seed=seed)
         bounds, sends = _send_times(pattern, cfg)
-        swept = sweep_rtt_samples(pattern, delays, cfg)
-        for delay, rtts in zip(delays, swept, strict=True):
+        for delay in delays:
+            rtts = rtt_samples(bounds, sends, delay, np.empty_like(sends), np.empty_like(sends))
             assert bits(rtts) == bits(reference(bounds, sends, delay))
         drawn = reference_send_times(pattern, cfg)
         means = sample_rtts(pattern, delays, cfg).means_ms
@@ -656,15 +655,21 @@ class TestKernelProperties:
     @given(stale_buffer_sweeps())
     def test_sweep_buffers_keep_no_stale_values(self, case):
         """A sweep's working arrays carry nothing from one delay to the
-        next: each delay's RTTs, copied before the next, are the reference
-        kernel's on the draw's sends, and each mean is their mean."""
+        next: ``sample_rtts`` over the delays gives each the bits of a
+        one-delay call, and each mean is that of the kernel's RTTs on the
+        draw's sends in fresh arrays, which are the reference kernel's."""
         pattern, cfg, delays = case
         bounds, sends = _send_times(pattern, cfg)
-        expected = [reference(bounds, sends, delay) for delay in delays]
-        swept = [rtts.copy() for rtts in sweep_rtt_samples(pattern, delays, cfg)]
-        assert [bits(rtts) for rtts in swept] == [bits(rtts) for rtts in expected]
+        drawn = [
+            rtt_samples(bounds, sends, delay, np.empty_like(sends), np.empty_like(sends))
+            for delay in delays
+        ]
+        assert [bits(rtts) for rtts in drawn] == [
+            bits(reference(bounds, sends, delay)) for delay in delays
+        ]
         means = sample_rtts(pattern, delays, cfg).means_ms
-        assert bits(means) == bits([float(rtts.mean()) for rtts in expected])
+        assert bits(means) == bits([sample_rtts(pattern, (d,), cfg).means_ms[0] for d in delays])
+        assert bits(means) == bits([float(rtts.mean()) for rtts in drawn])
 
         ascending = np.sort(sends)
         acks, rtts = np.full_like(sends, np.nan), np.full_like(sends, np.nan)

@@ -12,7 +12,6 @@ from minislot.rttmodel import (
     RttSamplerConfig,
     ThroughputEvaluator,
     sample_rtts,
-    sweep_rtt_samples,
     vsta_seed,
     vsta_throughput,
 )
@@ -64,7 +63,7 @@ def _wait_until_connected(intervals, phase, period):
 def kernel_rtt(schedule, vsta, send_ms, delay_ms):
     """``rtt_samples`` at the single send time ``send_ms``, on ``vsta``'s
     windows laid out from its pattern with the first at time 0, as
-    ``sweep_rtt_samples`` lays them out."""
+    ``rttmodel._send_times`` lays them out."""
     bounds = np.concatenate(([0.0], np.cumsum(window_pattern(schedule, vsta))))
     (rtt,) = rtt_samples(bounds, np.array([send_ms]), delay_ms, np.empty(1), np.empty(1))
     return float(rtt)
@@ -137,27 +136,27 @@ class TestSampleRtts:
         c = sample_rtts(key, (50.0,), replace(self.CFG, seed=8))
         assert a.means_ms != c.means_ms
 
-    def test_bounds(self, half_duty_schedule):
+    def test_bounds(self, half_duty_schedule, drawn_rtts):
         worst = max_disconnection(half_duty_schedule, 1)
         key = window_pattern(half_duty_schedule, 1)
         delays = (0.0, 25.0, 50.0, 130.0)
         stats = sample_rtts(key, delays, self.CFG)
         assert stats.n == self.CFG.n_samples
         assert len(stats.means_ms) == len(delays)
-        samples = sweep_rtt_samples(key, delays, self.CFG)
-        for delay, rtts, mean in zip(delays, samples, stats.means_ms):
+        for delay, mean in zip(delays, stats.means_ms):
+            rtts = drawn_rtts(key, delay, self.CFG)
             assert rtts.min() >= delay
             assert rtts.max() <= delay + worst + 1e-9
             assert mean == float(rtts.mean())
 
-    def test_delay_multiple_of_period_is_exact(self, half_duty_schedule):
+    def test_delay_multiple_of_period_is_exact(self, half_duty_schedule, drawn_rtts):
         # the ack phase equals the send phase, so every sample is connected
         key = window_pattern(half_duty_schedule, 1)
         assert sample_rtts(key, (100.0,), self.CFG).means_ms == (100.0,)
-        (rtts,) = sweep_rtt_samples(key, (100.0,), self.CFG)
+        rtts = drawn_rtts(key, 100.0, self.CFG)
         assert rtts.min() == 100.0 == rtts.max()
 
-    #: nine windows whose widths, laid out as ``sweep_rtt_samples`` lays
+    #: nine windows whose widths, laid out as ``_send_times`` lays
     #: them out, sum pairwise (``np.sum``) above their running sum: the 30th
     #: draw of nine (length, gap) pairs from ``random.Random(2024)``, each
     #: uniform in [0.001, 40] ms and rounded to 1e-9 ms, and the first with
@@ -170,7 +169,7 @@ class TestSampleRtts:
         (39.044975143, 24.539748646),
     )
 
-    def test_every_send_lies_in_a_window(self, monkeypatch):
+    def test_every_send_lies_in_a_window(self, monkeypatch, drawn_rtts):
         """An offset drawn just below the pairwise sum of the widths still
         wraps into a window, for the running sum is the connected time."""
         bounds = np.concatenate(([0.0], np.cumsum(self.NINE_WINDOWS)))
@@ -191,14 +190,14 @@ class TestSampleRtts:
 
         monkeypatch.setattr(np.random, "default_rng", Draws)
         cfg = RttSamplerConfig(n_samples=100, mean_fraction=0.25, seed=0)
-        (rtts,) = sweep_rtt_samples(self.NINE_WINDOWS, (0.0,), cfg)
+        rtts = drawn_rtts(self.NINE_WINDOWS, 0.0, cfg)
         # at delay 0 a send inside a window is acknowledged at once
         assert rtts.tolist() == [0.0] * 100
 
     def test_matches_scalar_model(self, case2_contiguous):
         """The vectorized kernel must agree with the scalar RTT function
         on sends in the ascending order it takes them, on VSTA 3's windows
-        laid out from 0 as ``sweep_rtt_samples`` lays them out."""
+        laid out from 0 as ``rttmodel._send_times`` lays them out."""
         vsta, delay = 3, 37.0
         bounds = np.concatenate(([0.0], np.cumsum(window_pattern(case2_contiguous, vsta))))
         starts, ends = bounds[:-1:2], bounds[1::2]

@@ -515,6 +515,20 @@ class TestCli:
         path.write_text("{not json")
         assert main(["--scenario", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"duty_cycles": [0.5, 0.5], "slot_time_ms": 10, "delays_ms": [10], '
+         '"seed": 1, "seed": 2}', "seed"),
+        ('{"duty_cycles": [0.5, 0.5], "slot_time_ms": 10, '
+         '"delays_ms": {"start": 0, "stop": 10, "step": 5, "step": 1}}', "step"),
+    ], ids=["top-level", "sweep"])
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys, text, key):
+        """json.load would keep the last value, so a repeated key is refused."""
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"key {key!r} is given more than once" in err
+
     def test_json_list_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([SMALL_CONFIG]))
